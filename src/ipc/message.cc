@@ -121,13 +121,6 @@ Status ReadHits(util::ByteReader* reader, std::vector<WireHit>* hits) {
   return Status::OK();
 }
 
-Status ReadHistogram(util::ByteReader* reader, util::Histogram* histogram) {
-  if (!histogram->DecodeFrom(reader)) {
-    return Status::ParseError("stats: malformed histogram encoding");
-  }
-  return Status::OK();
-}
-
 Status MakeStatus(uint32_t code, std::string message) {
   switch (static_cast<StatusCode>(code)) {
     case StatusCode::kOk: return Status::OK();
@@ -308,45 +301,6 @@ Status SearchResponse::DecodeFrom(util::ByteReader* reader) {
 void StatsRequest::EncodeTo(std::string*) const {}
 
 Status StatsRequest::DecodeFrom(util::ByteReader*) {
-  return Status::OK();
-}
-
-void StatsResponse::EncodeTo(std::string* out) const {
-  for (uint64_t counter :
-       {submitted, accepted, rejected_queue_full, rejected_stopped,
-        deadline_exceeded, failed, completed, deadline_missed, cache_hits,
-        cache_misses, cache_evictions, cache_entries, cache_bytes_used,
-        stale_served, degraded_truncated, refreshes, refresh_failures,
-        epochs_published, queue_peak}) {
-    util::PutVarint64(out, counter);
-  }
-  queue_us.EncodeTo(out);
-  service_us.EncodeTo(out);
-  service_cpu_us.EncodeTo(out);
-  total_us.EncodeTo(out);
-  for (const util::Histogram& histogram : priority_total_us) {
-    histogram.EncodeTo(out);
-  }
-  distance_comps.EncodeTo(out);
-}
-
-Status StatsResponse::DecodeFrom(util::ByteReader* reader) {
-  for (uint64_t* counter :
-       {&submitted, &accepted, &rejected_queue_full, &rejected_stopped,
-        &deadline_exceeded, &failed, &completed, &deadline_missed,
-        &cache_hits, &cache_misses, &cache_evictions, &cache_entries,
-        &cache_bytes_used, &stale_served, &degraded_truncated, &refreshes,
-        &refresh_failures, &epochs_published, &queue_peak}) {
-    Status status = reader->ReadVarint64(counter);
-    if (!status.ok()) return status;
-  }
-  for (util::Histogram* histogram :
-       {&queue_us, &service_us, &service_cpu_us, &total_us,
-        &priority_total_us[0], &priority_total_us[1], &priority_total_us[2],
-        &distance_comps}) {
-    Status status = ReadHistogram(reader, histogram);
-    if (!status.ok()) return status;
-  }
   return Status::OK();
 }
 

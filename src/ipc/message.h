@@ -8,7 +8,7 @@
 #include "core/form_page.h"
 #include "forms/form_page_model.h"
 #include "ipc/message_defs.h"
-#include "util/histogram.h"
+#include "ipc/server_stats.h"
 #include "util/status.h"
 #include "util/varint.h"
 
@@ -107,42 +107,6 @@ struct SearchResponse {
 };
 
 struct StatsRequest {
-  void EncodeTo(std::string* out) const;
-  Status DecodeFrom(util::ByteReader* reader);
-};
-
-/// Mirror of `serve::ServerStats` for the wire (ipc sits below serve in
-/// the layering, so the serving layer converts at its boundary). Fields
-/// travel in declaration order; histograms via Histogram::EncodeTo.
-struct StatsResponse {
-  uint64_t submitted = 0;
-  uint64_t accepted = 0;
-  uint64_t rejected_queue_full = 0;
-  uint64_t rejected_stopped = 0;
-  uint64_t deadline_exceeded = 0;
-  uint64_t failed = 0;
-  uint64_t completed = 0;
-  uint64_t deadline_missed = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t cache_entries = 0;
-  uint64_t cache_bytes_used = 0;
-  uint64_t stale_served = 0;
-  uint64_t degraded_truncated = 0;
-  uint64_t refreshes = 0;
-  uint64_t refresh_failures = 0;
-  uint64_t epochs_published = 0;
-  uint64_t queue_peak = 0;
-  util::Histogram queue_us;
-  util::Histogram service_us;
-  util::Histogram service_cpu_us;
-  util::Histogram total_us;
-  /// Per-scheduling-class total latency (serve::kNumQueryPriorities wide;
-  /// a plain array here because ipc does not include serve headers).
-  util::Histogram priority_total_us[3];
-  util::Histogram distance_comps;
-
   void EncodeTo(std::string* out) const;
   Status DecodeFrom(util::ByteReader* reader);
 };

@@ -11,13 +11,14 @@
 /// the MethodId enum and MethodName(); `shard_rpc.h` expands it into the
 /// typed client bindings (one synchronous and one pipelined pair per
 /// method) and the service dispatch switch. Adding a method means adding a
-/// row and implementing the two message structs; the bindings and the
+/// row and implementing the two message structs (the Stats payload is the
+/// one ServerStats schema of `server_stats.h`); the bindings and the
 /// dispatcher follow mechanically. Wire ids are part of the protocol —
 /// append rows, never renumber.
 #define CAFC_IPC_METHOD_LIST(X)                       \
   X(Classify, 1, ClassifyRequest, ClassifyResponse)   \
   X(Search, 2, SearchRequest, SearchResponse)         \
-  X(Stats, 3, StatsRequest, StatsResponse)            \
+  X(Stats, 3, StatsRequest, ServerStats)              \
   X(Epoch, 4, EpochRequest, EpochResponse)
 
 #endif  // CAFC_IPC_MESSAGE_DEFS_H_

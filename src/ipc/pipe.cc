@@ -87,7 +87,10 @@ class FdEndpoint : public MessagePipe {
   FdEndpoint(int read_fd, int write_fd)
       : read_fd_(read_fd), write_fd_(write_fd) {}
 
-  ~FdEndpoint() override { Close(); }
+  ~FdEndpoint() override {
+    Close();
+    if (read_fd_ == write_fd_) ::close(read_fd_);  // see Close
+  }
 
   Status Send(std::string_view message) override {
     std::string frame;
@@ -141,12 +144,15 @@ class FdEndpoint : public MessagePipe {
   void Close() override {
     bool expected = false;
     if (!closed_.compare_exchange_strong(expected, true)) return;
-    // Shut the socket down (wakes a peer blocked in read) before closing;
-    // plain pipes ignore shutdown and rely on close's EOF.
+    // Shut the socket down: wakes a peer, and any local reader, blocked in
+    // read. Its one fd stays open until the destructor, because closing it
+    // under a concurrent Recv would let the number be reused mid-read.
+    // Plain pipes ignore shutdown and rely on close's EOF.
     ::shutdown(read_fd_, SHUT_RDWR);
-    if (write_fd_ != read_fd_) ::shutdown(write_fd_, SHUT_RDWR);
-    ::close(read_fd_);
-    if (write_fd_ != read_fd_) ::close(write_fd_);
+    if (write_fd_ != read_fd_) {
+      ::close(read_fd_);
+      ::close(write_fd_);
+    }
   }
 
  private:

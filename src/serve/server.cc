@@ -94,17 +94,18 @@ DirectoryServer::DirectoryServer(
 DirectoryServer::~DirectoryServer() { Shutdown(); }
 
 SnapshotPtr DirectoryServer::snapshot() const {
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  std::lock_guard<std::mutex> lock(queue_mutex_);
   return current_;
 }
 
 void DirectoryServer::Publish(SnapshotPtr next) {
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  if (current_) retired_.push_back(std::move(current_));
-  current_ = std::move(next);
-  // The one store readers observe. Release pairs with the workers'
-  // acquire load, so the snapshot's contents are fully built first.
-  live_.store(current_.get(), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    current_.swap(next);
+  }
+  // `next` now holds the superseded snapshot. Dropping it outside the lock
+  // frees it here unless an in-flight request still pins it, in which case
+  // that request's worker frees it when it finishes.
 }
 
 std::string DirectoryServer::CacheKey(const QueryRequest& request) {
@@ -188,10 +189,8 @@ std::future<QueryResponse> DirectoryServer::Submit(QueryRequest request) {
       // bit-identical to what a worker would produce — served inline,
       // never queued. A publish invalidates all older entries wholesale
       // because their version tags stop matching.
-      const DirectorySnapshot* live = live_.load(std::memory_order_acquire);
       CachedAnswer answer;
-      if (live != nullptr &&
-          cache_->Lookup(pending.cache_key, live->version(), &answer)) {
+      if (cache_->Lookup(pending.cache_key, current_->version(), &answer)) {
         ++stats_.cache_hits;
         pending.promise.set_value(FromCache(answer, /*stale=*/false));
         return future;
@@ -293,11 +292,16 @@ QueryResponse DirectoryServer::Execute(const QueryRequest& request,
 void DirectoryServer::WorkerLoop() {
   for (;;) {
     Pending pending;
+    SnapshotPtr snap;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping, and fully drained
       queue_.Pop(&pending);
+      // Pin the published snapshot in the same critical section as the
+      // pop: the entire request runs against it even if a refresh
+      // publishes mid-flight.
+      snap = current_;
     }
     const auto dequeued = std::chrono::steady_clock::now();
     const double queue_ms = MsSince(pending.submitted, dequeued);
@@ -320,13 +324,8 @@ void DirectoryServer::WorkerLoop() {
             std::min(pending.request.top_k, options_.degrade.truncated_top_k);
         pending.cache_key.clear();
       }
-      // Pin the snapshot once (a single wait-free acquire load); the
-      // entire request runs against it even if a refresh publishes
-      // mid-flight. Deferred reclamation keeps the pointee alive until
-      // this worker is joined.
       const double cpu_before = ThreadCpuUs();
-      response = Execute(pending.request,
-                         *live_.load(std::memory_order_acquire));
+      response = Execute(pending.request, *snap);
       service_cpu_us = ThreadCpuUs() - cpu_before;
       executed = true;
       response.degraded = pending.degrade_truncate;
@@ -370,6 +369,9 @@ void DirectoryServer::WorkerLoop() {
       stats_.priority_total_us[static_cast<size_t>(pending.request.priority)]
           .Add(total_us);
     }
+    // Unpin before answering, so a superseded snapshot is gone by the
+    // time its last request's caller sees the response.
+    snap.reset();
     pending.promise.set_value(std::move(response));
   }
 }
@@ -425,7 +427,7 @@ void DirectoryServer::RefreshLoop() {
     }
     if (ok) {
       // Clone outside any lock (it is the refresh thread's private state),
-      // then publish with one atomic store. Readers that pinned the old
+      // then publish with one pointer swap. Readers that pinned the old
       // snapshot keep using it; new dequeues see the new epoch.
       ++publish_seq_;
       Publish(std::make_shared<const DirectorySnapshot>(
@@ -448,44 +450,6 @@ void DirectoryServer::RefreshLoop() {
   }
 }
 
-void ServerStats::Merge(const ServerStats& other) {
-  submitted += other.submitted;
-  accepted += other.accepted;
-  rejected_queue_full += other.rejected_queue_full;
-  rejected_stopped += other.rejected_stopped;
-  deadline_exceeded += other.deadline_exceeded;
-  failed += other.failed;
-  completed += other.completed;
-  deadline_missed += other.deadline_missed;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  cache_evictions += other.cache_evictions;
-  cache_entries += other.cache_entries;
-  cache_bytes_used += other.cache_bytes_used;
-  stale_served += other.stale_served;
-  degraded_truncated += other.degraded_truncated;
-  refreshes += other.refreshes;
-  refresh_failures += other.refresh_failures;
-  epochs_published += other.epochs_published;
-  queue_peak = std::max(queue_peak, other.queue_peak);
-  queue_us.Merge(other.queue_us);
-  service_us.Merge(other.service_us);
-  service_cpu_us.Merge(other.service_cpu_us);
-  total_us.Merge(other.total_us);
-  for (size_t i = 0; i < kNumQueryPriorities; ++i) {
-    priority_total_us[i].Merge(other.priority_total_us[i]);
-  }
-  distance_comps.Merge(other.distance_comps);
-  mapped_storage = mapped_storage || other.mapped_storage;
-  page_hits += other.page_hits;
-  page_misses += other.page_misses;
-  page_evictions += other.page_evictions;
-  page_cached += other.page_cached;
-  storage_fixed_bytes += other.storage_fixed_bytes;
-  storage_resident_bytes += other.storage_resident_bytes;
-  memory_budget_bytes += other.memory_budget_bytes;
-}
-
 ServerStats DirectoryServer::Stats() const {
   ServerStats out;
   {
@@ -502,8 +466,8 @@ ServerStats DirectoryServer::Stats() const {
     out.cache_bytes_used = cache_stats.bytes;
   }
   // Storage counters are sampled from the published snapshot's page store
-  // after stats_mutex_ is released — snapshot() takes snapshot_mutex_, and
-  // holding both here would order them against every other pairing.
+  // after stats_mutex_ is released — snapshot() takes queue_mutex_, and
+  // Submit orders queue_mutex_ before stats_mutex_.
   SnapshotPtr snap = snapshot();
   if (snap != nullptr && snap->mapped() != nullptr) {
     const storage::MappedSnapshot& mapped = *snap->mapped();
@@ -539,12 +503,6 @@ void DirectoryServer::Shutdown() {
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
   if (refresh_thread_.joinable()) refresh_thread_.join();
-  // All readers have quiesced: superseded epochs can finally go. The
-  // current snapshot stays published for snapshot() callers.
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    retired_.clear();
-  }
 }
 
 }  // namespace cafc::serve

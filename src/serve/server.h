@@ -1,8 +1,6 @@
 #ifndef CAFC_SERVE_SERVER_H_
 #define CAFC_SERVE_SERVER_H_
 
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -18,10 +16,10 @@
 #include "core/dataset.h"
 #include "core/directory.h"
 #include "core/form_page.h"
+#include "ipc/server_stats.h"
 #include "serve/result_cache.h"
 #include "serve/scheduler.h"
 #include "serve/snapshot.h"
-#include "util/histogram.h"
 #include "util/status.h"
 
 namespace cafc::serve {
@@ -121,96 +119,29 @@ struct DirectoryServerOptions {
   DegradePolicy degrade;
 };
 
-/// Monotonic counters + latency histograms of one server's lifetime.
-/// `queue_us`/`service_us`/`total_us` record microseconds and only cover
-/// requests that reached a worker (rejected submissions never queue).
-struct ServerStats {
-  uint64_t submitted = 0;          ///< every Submit call
-  uint64_t accepted = 0;           ///< admitted to the queue
-  uint64_t rejected_queue_full = 0;///< kUnavailable: queue at capacity
-  uint64_t rejected_stopped = 0;   ///< kUnavailable: after Shutdown
-  uint64_t deadline_exceeded = 0;  ///< kDeadlineExceeded at dequeue
-  uint64_t failed = 0;             ///< executed but answered non-OK
-  uint64_t completed = 0;          ///< served OK by a worker
-  /// Deadlines that expired *during* service: the response was still
-  /// delivered, stamped deadline_missed (completed counts it too).
-  uint64_t deadline_missed = 0;
-  /// Result-cache accounting. Hits are answered at Submit without
-  /// queueing, so they are counted here and not in accepted/completed:
-  /// submitted == accepted + rejections + cache_hits + stale_served.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;     ///< lookups that fell through to a worker
-  uint64_t cache_evictions = 0;  ///< entries dropped to hold cache_bytes
-  uint64_t cache_entries = 0;    ///< entries resident now (gauge)
-  uint64_t cache_bytes_used = 0; ///< estimated resident bytes now (gauge)
-  /// Degradation accounting: overload answers served from an older
-  /// snapshot's cache entry (response.stale) and Search admissions
-  /// truncated above the high-water mark (response.degraded).
-  uint64_t stale_served = 0;
-  uint64_t degraded_truncated = 0;
-  uint64_t refreshes = 0;          ///< hot refreshes applied
-  uint64_t refresh_failures = 0;   ///< refreshes rejected by the library
-  uint64_t epochs_published = 0;   ///< snapshot swaps (excludes the initial)
-  uint64_t queue_peak = 0;         ///< high-water mark of the queue depth
-  util::Histogram queue_us;
-  util::Histogram service_us;
-  /// Thread CPU microseconds actually burned executing each served
-  /// request (CLOCK_THREAD_CPUTIME_ID around Execute — excludes queueing
-  /// and the artificial service pad). `sum()` over one shard is the
-  /// shard's total scoring work: the capacity measure the sharding bench
-  /// gates on, immune to wall-clock noise from co-scheduled workers.
-  util::Histogram service_cpu_us;
-  util::Histogram total_us;
-  /// Submit -> response-ready microseconds, split by scheduling class —
-  /// the distributions the workload bench compares across policies
-  /// (priority scheduling must protect the interactive band's p99 under
-  /// burst). Indexed by QueryPriority; covers worker-served requests.
-  std::array<util::Histogram, kNumQueryPriorities> priority_total_us;
-  /// Distance computations (exact centroid similarity evaluations) per
-  /// served query — the count the inverted centroid index keeps sublinear
-  /// in the number of sections. A full scan would put every query at
-  /// exactly the directory size, so this distribution *is* the pruning
-  /// effectiveness, surfaced in `cafc serve` stats output.
-  util::Histogram distance_comps;
-  /// Storage-layer counters of snapshot-backed servers (all zero for
-  /// in-RAM servers). Sampled from the published snapshot's page store at
-  /// Stats() time, so they reflect the moment of the call rather than an
-  /// accumulation window.
-  bool mapped_storage = false;       ///< true when serving a v3 snapshot
-  uint64_t page_hits = 0;            ///< stored-page LRU hits
-  uint64_t page_misses = 0;          ///< stored-page decodes from the map
-  uint64_t page_evictions = 0;       ///< pages evicted to hold the budget
-  uint64_t page_cached = 0;          ///< pages resident in the LRU now
-  uint64_t storage_fixed_bytes = 0;  ///< dictionary+stats+index+labels
-  uint64_t storage_resident_bytes = 0;  ///< fixed + cached pages, now
-  uint64_t memory_budget_bytes = 0;  ///< configured cap (0 = unlimited)
-
-  /// \brief Folds another server's stats into this one — the aggregation
-  /// the scatter-gather router reports across its shards.
-  ///
-  /// Counters add; histograms merge element-wise (same compiled-in bucket
-  /// layout); queue_peak takes the max (peaks do not add across
-  /// independent queues). Storage gauges add and `mapped_storage` ORs:
-  /// the merged view answers "what is the fleet holding now", not "what
-  /// is one process holding".
-  void Merge(const ServerStats& other);
-};
+/// Lifetime counters, gauges and latency histograms of one server — the
+/// one stats schema (`ipc/server_stats.h`), shared with the Stats RPC so a
+/// shard's stats cross the wire without a translation layer.
+using ServerStats = ipc::ServerStats;
+static_assert(ipc::kStatsPriorityBands == kNumQueryPriorities,
+              "ServerStats::priority_total_us needs one histogram per "
+              "QueryPriority band");
 
 /// \brief Concurrent query engine over an epoch-snapshot directory: a
 /// bounded MPMC request queue drained by a worker pool, with hot refresh.
 ///
 /// Ownership: the server owns the *refresh master* directory and the
 /// epoch-versioned corpus it grows from. Queries never touch the master —
-/// they run against the current immutable DirectorySnapshot, published by
-/// one atomic pointer store. The single background refresh thread absorbs
-/// scheduled page batches (Corpus::AddPages), re-fits the master
-/// (DatabaseDirectory::Refresh), clones it into a fresh snapshot, and
-/// swaps. Readers are wait-free: pinning the snapshot at dequeue is a
-/// single atomic load — no lock, no refcount traffic — and each response
-/// observes exactly one epoch. Superseded snapshots are not freed in
-/// place; they retire to a deferred-reclamation list (bounded by the
-/// number of refreshes) released once all workers have quiesced, so a
-/// swap can never pull a snapshot out from under an in-flight request.
+/// they run against the current immutable DirectorySnapshot. The single
+/// background refresh thread absorbs scheduled page batches
+/// (Corpus::AddPages), re-fits the master (DatabaseDirectory::Refresh),
+/// clones it into a fresh snapshot, and swaps the published SnapshotPtr
+/// under the queue lock. A worker copies that SnapshotPtr in the same
+/// critical section where it dequeues, so each response observes exactly
+/// one epoch and a swap can never pull a snapshot out from under an
+/// in-flight request. A superseded snapshot is freed when its last
+/// in-flight request finishes: a server holds at most one snapshot per
+/// busy worker plus the published one, however many refreshes it applies.
 ///
 /// Admission control: Submit on a full queue fails fast with kUnavailable
 /// (backpressure — the caller sheds load or retries elsewhere) instead of
@@ -307,8 +238,8 @@ class DirectoryServer {
   /// Executes one admitted request against a pinned snapshot.
   QueryResponse Execute(const QueryRequest& request,
                         const DirectorySnapshot& snap) const;
-  /// Retires the current snapshot and makes `next` live (one atomic
-  /// pointer store). Ctor + refresh thread only.
+  /// Makes `next` the published snapshot (a pointer swap under
+  /// queue_mutex_). Ctor + refresh thread only.
   void Publish(SnapshotPtr next);
 
   DirectoryServerOptions options_;
@@ -319,18 +250,14 @@ class DirectoryServer {
   Corpus corpus_;
   bool read_only_ = false;  // set in the mapped ctor, immutable after
 
-  /// The wait-free reader view: workers pin with a single acquire load.
-  /// The pointee is owned by current_/retired_ below, which outlive every
-  /// reader (workers are joined before either is released).
-  std::atomic<const DirectorySnapshot*> live_{nullptr};
-  mutable std::mutex snapshot_mutex_;
-  SnapshotPtr current_;               // guarded by snapshot_mutex_
-  std::vector<SnapshotPtr> retired_;  // guarded by snapshot_mutex_
   uint64_t publish_seq_ = 1;  // refresh thread only (after construction)
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   RequestScheduler<Pending> queue_;  // guarded by queue_mutex_
+  /// The published snapshot. Submit's cache check and the worker's
+  /// dequeue read it under the same lock they already hold.
+  SnapshotPtr current_;              // guarded by queue_mutex_
   bool stopping_ = false;            // guarded by queue_mutex_
 
   /// Epoch-keyed result cache (null when options_.cache_bytes == 0).

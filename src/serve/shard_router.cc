@@ -191,13 +191,7 @@ std::vector<Result<ServerStats>> ShardRouter::PerShardStats() {
       out.push_back(inflight[s].status());
       continue;
     }
-    Result<ipc::StatsResponse> result =
-        shards_[s]->AwaitStats(*inflight[s]);
-    if (!result.ok()) {
-      out.push_back(result.status());
-      continue;
-    }
-    out.push_back(FromWireStats(*result));
+    out.push_back(shards_[s]->AwaitStats(*inflight[s]));
   }
   return out;
 }

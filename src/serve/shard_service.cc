@@ -4,70 +4,6 @@
 
 namespace cafc::serve {
 
-ipc::StatsResponse ToWireStats(const ServerStats& stats) {
-  ipc::StatsResponse wire;
-  wire.submitted = stats.submitted;
-  wire.accepted = stats.accepted;
-  wire.rejected_queue_full = stats.rejected_queue_full;
-  wire.rejected_stopped = stats.rejected_stopped;
-  wire.deadline_exceeded = stats.deadline_exceeded;
-  wire.failed = stats.failed;
-  wire.completed = stats.completed;
-  wire.deadline_missed = stats.deadline_missed;
-  wire.cache_hits = stats.cache_hits;
-  wire.cache_misses = stats.cache_misses;
-  wire.cache_evictions = stats.cache_evictions;
-  wire.cache_entries = stats.cache_entries;
-  wire.cache_bytes_used = stats.cache_bytes_used;
-  wire.stale_served = stats.stale_served;
-  wire.degraded_truncated = stats.degraded_truncated;
-  wire.refreshes = stats.refreshes;
-  wire.refresh_failures = stats.refresh_failures;
-  wire.epochs_published = stats.epochs_published;
-  wire.queue_peak = stats.queue_peak;
-  wire.queue_us = stats.queue_us;
-  wire.service_us = stats.service_us;
-  wire.service_cpu_us = stats.service_cpu_us;
-  wire.total_us = stats.total_us;
-  for (size_t i = 0; i < kNumQueryPriorities; ++i) {
-    wire.priority_total_us[i] = stats.priority_total_us[i];
-  }
-  wire.distance_comps = stats.distance_comps;
-  return wire;
-}
-
-ServerStats FromWireStats(const ipc::StatsResponse& wire) {
-  ServerStats stats;
-  stats.submitted = wire.submitted;
-  stats.accepted = wire.accepted;
-  stats.rejected_queue_full = wire.rejected_queue_full;
-  stats.rejected_stopped = wire.rejected_stopped;
-  stats.deadline_exceeded = wire.deadline_exceeded;
-  stats.failed = wire.failed;
-  stats.completed = wire.completed;
-  stats.deadline_missed = wire.deadline_missed;
-  stats.cache_hits = wire.cache_hits;
-  stats.cache_misses = wire.cache_misses;
-  stats.cache_evictions = wire.cache_evictions;
-  stats.cache_entries = wire.cache_entries;
-  stats.cache_bytes_used = wire.cache_bytes_used;
-  stats.stale_served = wire.stale_served;
-  stats.degraded_truncated = wire.degraded_truncated;
-  stats.refreshes = wire.refreshes;
-  stats.refresh_failures = wire.refresh_failures;
-  stats.epochs_published = wire.epochs_published;
-  stats.queue_peak = wire.queue_peak;
-  stats.queue_us = wire.queue_us;
-  stats.service_us = wire.service_us;
-  stats.service_cpu_us = wire.service_cpu_us;
-  stats.total_us = wire.total_us;
-  for (size_t i = 0; i < kNumQueryPriorities; ++i) {
-    stats.priority_total_us[i] = wire.priority_total_us[i];
-  }
-  stats.distance_comps = wire.distance_comps;
-  return stats;
-}
-
 DirectoryShardService::DirectoryShardService(
     DirectoryServer* server, std::vector<uint32_t> global_sections,
     uint32_t shard_id, uint32_t num_shards)
@@ -130,9 +66,9 @@ Result<ipc::SearchResponse> DirectoryShardService::HandleSearch(
   return wire;
 }
 
-Result<ipc::StatsResponse> DirectoryShardService::HandleStats(
+Result<ServerStats> DirectoryShardService::HandleStats(
     const ipc::StatsRequest&) {
-  return ToWireStats(server_->Stats());
+  return server_->Stats();
 }
 
 Result<ipc::EpochResponse> DirectoryShardService::HandleEpoch(

@@ -14,13 +14,6 @@
 
 namespace cafc::serve {
 
-/// Converts lifetime stats to/from their wire mirror (the ipc layer sits
-/// below serve, so the boundary translation lives here). Storage gauges
-/// do not travel — the Stats RPC reports serving work, and the router
-/// re-merges with ServerStats::Merge on its side.
-ipc::StatsResponse ToWireStats(const ServerStats& stats);
-ServerStats FromWireStats(const ipc::StatsResponse& wire);
-
 /// \brief The shard end of the scatter-gather service: an ipc::ShardHandler
 /// that answers Classify/Search/Stats/Epoch out of one DirectoryServer.
 ///
@@ -46,7 +39,7 @@ class DirectoryShardService : public ipc::ShardHandler {
       const ipc::ClassifyRequest& request) override;
   Result<ipc::SearchResponse> HandleSearch(
       const ipc::SearchRequest& request) override;
-  Result<ipc::StatsResponse> HandleStats(
+  Result<ServerStats> HandleStats(
       const ipc::StatsRequest& request) override;
   Result<ipc::EpochResponse> HandleEpoch(
       const ipc::EpochRequest& request) override;

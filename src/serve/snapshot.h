@@ -12,9 +12,9 @@ namespace cafc::serve {
 /// \brief An immutable, refcounted view of the directory at one publish
 /// point — the unit of consistency of the serving layer.
 ///
-/// The server publishes a snapshot by atomically swapping a
-/// `shared_ptr<const DirectorySnapshot>`; workers pin the current snapshot
-/// at dequeue and execute the whole request against it, so every response
+/// The server publishes a snapshot by swapping a
+/// `shared_ptr<const DirectorySnapshot>` under its queue lock; workers pin
+/// the current snapshot at dequeue and execute the whole request against it, so every response
 /// observes exactly one epoch — never a directory mid-refresh. Old
 /// snapshots die when the last in-flight request holding them completes.
 class DirectorySnapshot {

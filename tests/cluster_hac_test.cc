@@ -1,7 +1,6 @@
 #include "cluster/hac.h"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -13,19 +12,19 @@ namespace cafc::cluster {
 namespace {
 
 /// Block-structured similarity: points i and j are similar iff they share
-/// a block of size `block`.
+/// a block of size `block`, plus symmetric noise in [0, 0.05). The noise is
+/// a pure function of (min(i,j), max(i,j), seed) — Rng's splitmix64
+/// seeding does the mixing — so the function captures only immutable
+/// state, as the SimilarityFn contract requires: Hac calls it concurrently
+/// from ParallelFor workers.
 SimilarityFn BlockSimilarity(size_t block, double in_sim, double out_sim,
                              uint64_t seed) {
-  auto rng = std::make_shared<Rng>(seed);
-  // Pre-generate symmetric noise so the function is consistent.
-  auto noise = std::make_shared<std::vector<double>>();
-  return [block, in_sim, out_sim, rng, noise](size_t i, size_t j) {
-    size_t a = std::min(i, j);
-    size_t b = std::max(i, j);
-    size_t key = a * 1000 + b;
-    if (noise->size() <= key) noise->resize(key + 1, -1.0);
-    if ((*noise)[key] < 0.0) (*noise)[key] = rng->UniformDouble() * 0.05;
-    return ((i / block) == (j / block) ? in_sim : out_sim) + (*noise)[key];
+  return [block, in_sim, out_sim, seed](size_t i, size_t j) {
+    const uint64_t a = std::min(i, j);
+    const uint64_t b = std::max(i, j);
+    Rng noise(seed ^ (a << 32) ^ b);
+    return ((i / block) == (j / block) ? in_sim : out_sim) +
+           noise.UniformDouble() * 0.05;
   };
 }
 

@@ -21,6 +21,7 @@
 #include "core/dataset.h"
 #include "core/directory.h"
 #include "web/synthesizer.h"
+#include "test_util.h"
 
 namespace cafc {
 namespace {
@@ -40,9 +41,7 @@ web::SynthesizerConfig SmallConfig() {
   return config;
 }
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using ::cafc::test::TempPath;
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

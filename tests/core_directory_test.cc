@@ -9,6 +9,7 @@
 #include "core/cafc.h"
 #include "core/dataset.h"
 #include "web/synthesizer.h"
+#include "test_util.h"
 
 namespace cafc {
 namespace {
@@ -35,9 +36,7 @@ web::SynthesizerConfig SmallConfig() {
   return config;
 }
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using ::cafc::test::TempPath;
 
 class DirectoryTest : public ::testing::Test {
  protected:

@@ -61,8 +61,8 @@ class EchoHandler : public ShardHandler {
     return response;
   }
 
-  Result<StatsResponse> HandleStats(const StatsRequest&) override {
-    StatsResponse response;
+  Result<ServerStats> HandleStats(const StatsRequest&) override {
+    ServerStats response;
     response.completed = 42;
     return response;
   }
@@ -128,7 +128,7 @@ void ExerciseAllMethods(Rig& rig) {
   EXPECT_EQ(found->hits[1].entry, 6);
   EXPECT_EQ(found->hits[1].similarity, 0.5);
 
-  Result<StatsResponse> stats = rig.client.Stats(StatsRequest{});
+  Result<ServerStats> stats = rig.client.Stats(StatsRequest{});
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->completed, 42u);
 

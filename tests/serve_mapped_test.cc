@@ -19,6 +19,7 @@
 #include "storage/reader.h"
 #include "storage/writer.h"
 #include "web/synthesizer.h"
+#include "test_util.h"
 
 namespace cafc {
 namespace {
@@ -45,9 +46,7 @@ web::SynthesizerConfig SmallConfig() {
   return config;
 }
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using ::cafc::test::TempPath;
 
 class MappedServeTest : public ::testing::Test {
  protected:

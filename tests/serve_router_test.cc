@@ -278,5 +278,29 @@ TEST(ShardRouterTest, EpochsAndStatsAggregateAcrossShards) {
   EXPECT_EQ(merged->service_cpu_us.count(), merged->completed);
 }
 
+TEST(ShardRouterTest, RouterStatsEqualMergeOfLocalShardStats) {
+  // The Stats RPC carries the one ServerStats schema, so the router's
+  // fleet view is exactly the Merge of what each shard reports locally —
+  // every field, storage gauges included.
+  Corpus corpus = GrowCorpus(21, 48);
+  DatabaseDirectory global = BuildDirectory(corpus);
+  Fleet fleet = Fleet::Make(global, corpus, 3);
+  for (size_t i = 0; i < 12 && i < corpus.entries().size(); ++i) {
+    ASSERT_TRUE(fleet.router->Classify(corpus.entries()[i].doc).status.ok());
+  }
+  ASSERT_TRUE(fleet.router->Search("hotel rooms", 3).status.ok());
+
+  serve::ServerStats local;
+  for (const auto& server : fleet.servers) local.Merge(server->Stats());
+  Result<serve::ServerStats> routed = fleet.router->Stats();
+  ASSERT_TRUE(routed.ok());
+  std::string want;
+  local.EncodeTo(&want);
+  std::string got;
+  routed->EncodeTo(&got);
+  EXPECT_EQ(got, want);
+  EXPECT_GT(routed->completed, 0u);
+}
+
 }  // namespace
 }  // namespace cafc

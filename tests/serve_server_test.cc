@@ -5,6 +5,7 @@
 #include "serve/server.h"
 
 #include <future>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -285,6 +286,32 @@ TEST(DirectoryServerTest, RefreshFailureKeepsServingOldSnapshot) {
       server.Query(ClassifyRequest(forms::FormPageDocument{}));
   EXPECT_TRUE(response.status.ok());
   EXPECT_EQ(response.classification.entry, -1);
+}
+
+TEST(DirectoryServerTest, SupersededSnapshotsAreFreedAfterRefresh) {
+  // Bounded retention: once no request pins it, a superseded snapshot is
+  // freed, so a server that refreshes forever holds one directory clone,
+  // not one per refresh.
+  Corpus corpus = GrowCorpus(21, 48);
+  DatabaseDirectory directory = BuildDirectory(corpus);
+  DirectoryServerOptions options;
+  options.workers = 2;
+  DirectoryServer server(std::move(directory), std::move(corpus), options);
+  ASSERT_TRUE(server.Query(SearchRequest("hotel rooms")).status.ok());
+
+  std::vector<std::weak_ptr<const serve::DirectorySnapshot>> superseded;
+  for (uint32_t seed : {22u, 23u, 24u}) {
+    superseded.push_back(server.snapshot());
+    Corpus incoming = GrowCorpus(seed, 16);
+    ASSERT_TRUE(server.ScheduleRefresh(incoming.TakeEntries()).ok());
+    server.WaitForRefreshes();
+  }
+
+  EXPECT_EQ(server.Stats().refreshes, 3u);
+  EXPECT_EQ(server.snapshot()->version(), 4u);
+  for (size_t v = 0; v < superseded.size(); ++v) {
+    EXPECT_TRUE(superseded[v].expired()) << "version " << v + 1;
+  }
 }
 
 }  // namespace

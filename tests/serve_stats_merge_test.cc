@@ -1,94 +1,178 @@
-// Tests of ServerStats::Merge (the router's fleet aggregation) and the
-// serve<->ipc stats boundary translation, including the histogram wire
-// round trip the Stats RPC rides on.
+// Tests of the one ServerStats schema: ServerStats::Merge (the router's
+// fleet aggregation) and the Stats RPC wire codec, both generated from
+// the CAFC_IPC_SERVER_STATS table. The table-driven tests expand that same
+// table, so a row whose kind has no fill, merge or wire rule fails to
+// compile here.
 
 #include "serve/server.h"
 
+#include <algorithm>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "ipc/message.h"
-#include "serve/shard_service.h"
+#include "ipc/server_stats.h"
 #include "util/histogram.h"
 #include "util/varint.h"
 
 namespace cafc::serve {
 namespace {
 
-ServerStats SampleStats(uint64_t base) {
-  ServerStats stats;
-  stats.submitted = base + 10;
-  stats.accepted = base + 9;
-  stats.rejected_queue_full = base + 1;
-  stats.rejected_stopped = base;
-  stats.deadline_exceeded = base / 2;
-  stats.failed = base % 3;
-  stats.completed = base + 8;
-  stats.deadline_missed = base % 4;
-  stats.cache_hits = base * 3;
-  stats.cache_misses = base + 7;
-  stats.cache_evictions = base % 6;
-  stats.cache_entries = base + 2;
-  stats.cache_bytes_used = base * 512;
-  stats.stale_served = base % 3;
-  stats.degraded_truncated = base % 5;
-  stats.refreshes = base % 5;
-  stats.refresh_failures = base % 2;
-  stats.epochs_published = base % 5;
-  stats.queue_peak = base + 3;
-  for (uint64_t i = 0; i < base + 4; ++i) {
-    stats.queue_us.Add(static_cast<double>(i * 10));
-    stats.service_us.Add(static_cast<double>(i * 100 + 1));
-    stats.service_cpu_us.Add(static_cast<double>(i * 90 + 1));
-    stats.total_us.Add(static_cast<double>(i * 110 + 2));
-    stats.distance_comps.Add(static_cast<double>(i % 7));
-    // Each scheduling class gets a distinct latency regime so a band swap
-    // in a merge or round trip would show up in the sums.
-    for (size_t band = 0; band < kNumQueryPriorities; ++band) {
-      stats.priority_total_us[band].Add(
-          static_cast<double>((band + 1) * 1000 + i));
-    }
+using ipc::stats_kind::Histograms;
+
+// ---- Table-driven helpers, one overload per member type -----------------
+
+/// Gives the field a value no other field of the same fill shares: `next`
+/// counts fields, `seed` separates two fills.
+void Fill(uint64_t* value, uint64_t seed, uint64_t* next) {
+  *value = seed * 1000 + ++*next;
+}
+void Fill(bool* flag, uint64_t /*seed*/, uint64_t* next) {
+  ++*next;
+  *flag = true;
+}
+void Fill(util::Histogram* histogram, uint64_t seed, uint64_t* next) {
+  const uint64_t field = ++*next;
+  for (uint64_t i = 0; i <= field % 5; ++i) {
+    histogram->Add(static_cast<double>(seed * 7919 + field * 37 + i * 13) +
+                   0.25);
   }
-  stats.mapped_storage = (base % 2) == 1;
-  stats.page_hits = base * 2;
-  stats.page_misses = base;
-  stats.page_evictions = base / 3;
-  stats.page_cached = base % 11;
-  stats.storage_fixed_bytes = base * 1000;
-  stats.storage_resident_bytes = base * 1500;
-  stats.memory_budget_bytes = base * 2000;
+}
+void Fill(Histograms* histograms, uint64_t seed, uint64_t* next) {
+  for (util::Histogram& histogram : *histograms) {
+    Fill(&histogram, seed, next);
+  }
+}
+
+/// Every field distinct and non-zero.
+ServerStats DistinctStats(uint64_t seed) {
+  ServerStats stats;
+  uint64_t next = 0;
+#define CAFC_TEST_FILL(Kind, name) Fill(&stats.name, seed, &next);
+  CAFC_IPC_SERVER_STATS(CAFC_TEST_FILL)
+#undef CAFC_TEST_FILL
   return stats;
 }
 
-TEST(ServerStatsMergeTest, CountersAddPeaksMaxStorageGaugesAdd) {
-  ServerStats a = SampleStats(4);
-  ServerStats b = SampleStats(9);
-  const uint64_t a_completed = a.completed;
-  const uint64_t a_count = a.total_us.count();
-  const double a_sum = a.total_us.sum();
+std::string Encoded(const util::Histogram& histogram) {
+  std::string bytes;
+  histogram.EncodeTo(&bytes);
+  return bytes;
+}
 
-  a.Merge(b);
-  EXPECT_EQ(a.submitted, 14u + 19u);
-  EXPECT_EQ(a.accepted, 13u + 18u);
-  EXPECT_EQ(a.rejected_queue_full, 5u + 10u);
-  EXPECT_EQ(a.completed, a_completed + b.completed);
-  EXPECT_EQ(a.refreshes, 4u % 5 + 9u % 5);
-  // Peaks of independent queues do not add.
-  EXPECT_EQ(a.queue_peak, 12u);
-  // Histograms merge element-wise: counts and sums add exactly.
-  EXPECT_EQ(a.total_us.count(), a_count + b.total_us.count());
-  EXPECT_EQ(a.total_us.sum(), a_sum + b.total_us.sum());
-  // Storage gauges add; mapped_storage ORs.
-  EXPECT_TRUE(a.mapped_storage);  // b (base 9) is mapped
-  EXPECT_EQ(a.page_hits, 8u + 18u);
-  EXPECT_EQ(a.storage_resident_bytes, 4u * 1500 + 9u * 1500);
+void ExpectNonZero(const char* name, uint64_t value) {
+  EXPECT_NE(value, 0u) << name;
+}
+void ExpectNonZero(const char* name, bool flag) { EXPECT_TRUE(flag) << name; }
+void ExpectNonZero(const char* name, const util::Histogram& histogram) {
+  EXPECT_GT(histogram.count(), 0u) << name;
+}
+void ExpectNonZero(const char* name, const Histograms& histograms) {
+  for (const util::Histogram& histogram : histograms) {
+    ExpectNonZero(name, histogram);
+  }
+}
+
+void ExpectSame(const char* name, uint64_t got, uint64_t want) {
+  EXPECT_EQ(got, want) << name;
+}
+void ExpectSame(const char* name, bool got, bool want) {
+  EXPECT_EQ(got, want) << name;
+}
+void ExpectSame(const char* name, const util::Histogram& got,
+                const util::Histogram& want) {
+  EXPECT_EQ(got.count(), want.count()) << name;
+  EXPECT_EQ(got.sum(), want.sum()) << name;  // bit-exact
+  EXPECT_EQ(got.min(), want.min()) << name;
+  EXPECT_EQ(got.max(), want.max()) << name;
+  EXPECT_EQ(Encoded(got), Encoded(want)) << name;  // every bucket
+}
+void ExpectSame(const char* name, const Histograms& got,
+                const Histograms& want) {
+  for (size_t band = 0; band < got.size(); ++band) {
+    ExpectSame(name, got[band], want[band]);
+  }
+}
+
+/// Every field of `got` equals the same field of `want`.
+void ExpectAllFieldsSame(const ServerStats& got, const ServerStats& want) {
+#define CAFC_TEST_SAME(Kind, name) ExpectSame(#name, got.name, want.name);
+  CAFC_IPC_SERVER_STATS(CAFC_TEST_SAME)
+#undef CAFC_TEST_SAME
+}
+
+// The expected merge of one field, by row kind — restated here from the
+// schema's contract, independently of the library's merge rules.
+void ExpectMergedCounter(const char* name, uint64_t merged, uint64_t a,
+                         uint64_t b) {
+  EXPECT_EQ(merged, a + b) << name;
+}
+void ExpectMergedPeak(const char* name, uint64_t merged, uint64_t a,
+                      uint64_t b) {
+  EXPECT_EQ(merged, std::max(a, b)) << name;
+}
+void ExpectMergedFlag(const char* name, bool merged, bool a, bool b) {
+  EXPECT_EQ(merged, a || b) << name;
+}
+void ExpectMergedGauge(const char* name, uint64_t merged, uint64_t a,
+                       uint64_t b) {
+  EXPECT_EQ(merged, a + b) << name;
+}
+void ExpectMergedHistogram(const char* name, const util::Histogram& merged,
+                           const util::Histogram& a,
+                           const util::Histogram& b) {
+  EXPECT_EQ(merged.count(), a.count() + b.count()) << name;
+  EXPECT_EQ(merged.sum(), a.sum() + b.sum()) << name;
+  EXPECT_EQ(merged.min(), std::min(a.min(), b.min())) << name;
+  EXPECT_EQ(merged.max(), std::max(a.max(), b.max())) << name;
+  util::Histogram element_wise = a;
+  element_wise.Merge(b);
+  EXPECT_EQ(Encoded(merged), Encoded(element_wise)) << name;
+}
+void ExpectMergedHistograms(const char* name, const Histograms& merged,
+                            const Histograms& a, const Histograms& b) {
+  for (size_t band = 0; band < merged.size(); ++band) {
+    ExpectMergedHistogram(name, merged[band], a[band], b[band]);
+  }
+}
+
+void ExpectMergeOf(const ServerStats& merged, const ServerStats& a,
+                   const ServerStats& b) {
+#define CAFC_TEST_MERGED(Kind, name) \
+  ExpectMerged##Kind(#name, merged.name, a.name, b.name);
+  CAFC_IPC_SERVER_STATS(CAFC_TEST_MERGED)
+#undef CAFC_TEST_MERGED
+}
+
+std::string Encoded(const ServerStats& stats) {
+  std::string bytes;
+  stats.EncodeTo(&bytes);
+  return bytes;
+}
+
+// ---- Merge ---------------------------------------------------------------
+
+TEST(ServerStatsMergeTest, CountersAddPeaksMaxStorageGaugesAdd) {
+  // Every row, by its kind: counters and gauges (storage included) add,
+  // the peak takes the max, the flag ORs, histograms merge element-wise.
+  const ServerStats a = DistinctStats(4);
+  ServerStats b = DistinctStats(9);
+  b.mapped_storage = false;
+  ServerStats merged = a;
+  merged.Merge(b);
+  ExpectMergeOf(merged, a, b);
+  // Spot-check the arithmetic of each kind on known values.
+  EXPECT_EQ(merged.submitted, a.submitted + b.submitted);
+  EXPECT_EQ(merged.queue_peak, b.queue_peak);  // b's fill is the larger
+  EXPECT_TRUE(merged.mapped_storage);
+  EXPECT_EQ(merged.storage_resident_bytes,
+            a.storage_resident_bytes + b.storage_resident_bytes);
 }
 
 TEST(ServerStatsMergeTest, SchedulingAndCacheCountersAdd) {
-  ServerStats a = SampleStats(4);
-  const ServerStats b = SampleStats(9);
-  const ServerStats before = SampleStats(4);
+  ServerStats a = DistinctStats(4);
+  const ServerStats b = DistinctStats(9);
+  const ServerStats before = a;
   a.Merge(b);
   EXPECT_EQ(a.deadline_missed, before.deadline_missed + b.deadline_missed);
   EXPECT_EQ(a.cache_hits, before.cache_hits + b.cache_hits);
@@ -104,11 +188,39 @@ TEST(ServerStatsMergeTest, SchedulingAndCacheCountersAdd) {
             before.degraded_truncated + b.degraded_truncated);
 }
 
+TEST(ServerStatsMergeTest, PeakTakesTheMaxInEitherOrder) {
+  ServerStats low;
+  low.queue_peak = 3;
+  ServerStats high;
+  high.queue_peak = 12;
+  ServerStats a = low;
+  a.Merge(high);
+  EXPECT_EQ(a.queue_peak, 12u);
+  ServerStats b = high;
+  b.Merge(low);
+  EXPECT_EQ(b.queue_peak, 12u);  // peaks of independent queues never add
+}
+
+TEST(ServerStatsMergeTest, FlagOrs) {
+  for (bool left : {false, true}) {
+    for (bool right : {false, true}) {
+      ServerStats a;
+      a.mapped_storage = left;
+      ServerStats b;
+      b.mapped_storage = right;
+      a.Merge(b);
+      EXPECT_EQ(a.mapped_storage, left || right)
+          << "left=" << left << " right=" << right;
+    }
+  }
+}
+
 TEST(ServerStatsMergeTest, PriorityHistogramsMergePerBand) {
-  ServerStats a = SampleStats(4);
-  const ServerStats b = SampleStats(9);
-  const ServerStats before = SampleStats(4);
+  ServerStats a = DistinctStats(4);
+  const ServerStats b = DistinctStats(9);
+  const ServerStats before = a;
   a.Merge(b);
+  ASSERT_EQ(a.priority_total_us.size(), kNumQueryPriorities);
   for (size_t band = 0; band < kNumQueryPriorities; ++band) {
     EXPECT_EQ(a.priority_total_us[band].count(),
               before.priority_total_us[band].count() +
@@ -163,106 +275,75 @@ TEST(ServerStatsMergeTest, HistogramMergeAcrossDisjointBucketRanges) {
 }
 
 TEST(ServerStatsMergeTest, MergeWithEmptyIsIdentity) {
-  ServerStats a = SampleStats(6);
-  ServerStats before = SampleStats(6);
+  ServerStats a = DistinctStats(6);
+  const ServerStats before = a;
   a.Merge(ServerStats{});
-  EXPECT_EQ(a.submitted, before.submitted);
-  EXPECT_EQ(a.completed, before.completed);
-  EXPECT_EQ(a.queue_peak, before.queue_peak);
-  EXPECT_EQ(a.total_us.count(), before.total_us.count());
-  EXPECT_EQ(a.total_us.sum(), before.total_us.sum());
-  EXPECT_EQ(a.mapped_storage, before.mapped_storage);
+  ExpectAllFieldsSame(a, before);
 }
 
 TEST(ServerStatsMergeTest, MergeIsCommutativeOnCountersAndHistograms) {
-  ServerStats ab = SampleStats(3);
-  ab.Merge(SampleStats(11));
-  ServerStats ba = SampleStats(11);
-  ba.Merge(SampleStats(3));
-  EXPECT_EQ(ab.submitted, ba.submitted);
-  EXPECT_EQ(ab.completed, ba.completed);
-  EXPECT_EQ(ab.queue_peak, ba.queue_peak);
-  EXPECT_EQ(ab.total_us.count(), ba.total_us.count());
-  EXPECT_EQ(ab.total_us.sum(), ba.total_us.sum());
-  EXPECT_EQ(ab.service_cpu_us.sum(), ba.service_cpu_us.sum());
-  EXPECT_EQ(ab.total_us.min(), ba.total_us.min());
-  EXPECT_EQ(ab.total_us.max(), ba.total_us.max());
+  ServerStats ab = DistinctStats(3);
+  ab.Merge(DistinctStats(11));
+  ServerStats ba = DistinctStats(11);
+  ba.Merge(DistinctStats(3));
+  ExpectAllFieldsSame(ab, ba);
 }
 
-TEST(ServerStatsWireTest, ToWireAndBackPreservesServingFields) {
-  ServerStats stats = SampleStats(7);
-  ServerStats decoded = FromWireStats(ToWireStats(stats));
-  EXPECT_EQ(decoded.submitted, stats.submitted);
-  EXPECT_EQ(decoded.accepted, stats.accepted);
-  EXPECT_EQ(decoded.rejected_queue_full, stats.rejected_queue_full);
-  EXPECT_EQ(decoded.rejected_stopped, stats.rejected_stopped);
-  EXPECT_EQ(decoded.deadline_exceeded, stats.deadline_exceeded);
-  EXPECT_EQ(decoded.failed, stats.failed);
-  EXPECT_EQ(decoded.completed, stats.completed);
-  EXPECT_EQ(decoded.refreshes, stats.refreshes);
-  EXPECT_EQ(decoded.refresh_failures, stats.refresh_failures);
-  EXPECT_EQ(decoded.epochs_published, stats.epochs_published);
-  EXPECT_EQ(decoded.queue_peak, stats.queue_peak);
-  EXPECT_EQ(decoded.deadline_missed, stats.deadline_missed);
-  EXPECT_EQ(decoded.cache_hits, stats.cache_hits);
-  EXPECT_EQ(decoded.cache_misses, stats.cache_misses);
-  EXPECT_EQ(decoded.cache_evictions, stats.cache_evictions);
-  EXPECT_EQ(decoded.cache_entries, stats.cache_entries);
-  EXPECT_EQ(decoded.cache_bytes_used, stats.cache_bytes_used);
-  EXPECT_EQ(decoded.stale_served, stats.stale_served);
-  EXPECT_EQ(decoded.degraded_truncated, stats.degraded_truncated);
-  EXPECT_EQ(decoded.total_us.count(), stats.total_us.count());
-  EXPECT_EQ(decoded.total_us.sum(), stats.total_us.sum());  // bit-exact
-  EXPECT_EQ(decoded.service_cpu_us.sum(), stats.service_cpu_us.sum());
-  EXPECT_EQ(decoded.distance_comps.count(), stats.distance_comps.count());
-  for (size_t band = 0; band < kNumQueryPriorities; ++band) {
-    EXPECT_EQ(decoded.priority_total_us[band].count(),
-              stats.priority_total_us[band].count())
-        << "band=" << band;
-    EXPECT_EQ(decoded.priority_total_us[band].sum(),
-              stats.priority_total_us[band].sum())
-        << "band=" << band;
-  }
-  // Storage gauges do not travel (the RPC reports serving work only).
-  EXPECT_FALSE(decoded.mapped_storage);
-  EXPECT_EQ(decoded.page_hits, 0u);
+// ---- Wire ----------------------------------------------------------------
+
+TEST(ServerStatsWireTest, EveryFieldRoundTripsBitExactly) {
+  // Every row set to a distinct non-zero value by expanding the table,
+  // then compared field by field after a wire round trip — storage
+  // gauges and the mapped_storage flag included.
+  const ServerStats stats = DistinctStats(7);
+#define CAFC_TEST_NON_ZERO(Kind, name) ExpectNonZero(#name, stats.name);
+  CAFC_IPC_SERVER_STATS(CAFC_TEST_NON_ZERO)
+#undef CAFC_TEST_NON_ZERO
+  const std::string bytes = Encoded(stats);
+  util::ByteReader reader(bytes);
+  ServerStats decoded;
+  ASSERT_TRUE(decoded.DecodeFrom(&reader).ok());
+  EXPECT_EQ(reader.remaining(), 0u);
+  ExpectAllFieldsSame(decoded, stats);
 }
 
 TEST(ServerStatsWireTest, StatsResponseWireRoundTripIsExact) {
-  ipc::StatsResponse wire = ToWireStats(SampleStats(13));
-  std::string bytes;
-  wire.EncodeTo(&bytes);
+  // Encode -> decode -> encode reproduces the bytes, and derived
+  // statistics (percentiles) survive unchanged.
+  const ServerStats stats = DistinctStats(13);
+  const std::string bytes = Encoded(stats);
   util::ByteReader reader(bytes);
-  ipc::StatsResponse decoded;
+  ServerStats decoded;
   ASSERT_TRUE(decoded.DecodeFrom(&reader).ok());
-  EXPECT_EQ(decoded.submitted, wire.submitted);
-  EXPECT_EQ(decoded.completed, wire.completed);
-  EXPECT_EQ(decoded.queue_peak, wire.queue_peak);
-  EXPECT_EQ(decoded.cache_hits, wire.cache_hits);
-  EXPECT_EQ(decoded.stale_served, wire.stale_served);
-  EXPECT_EQ(decoded.degraded_truncated, wire.degraded_truncated);
-  EXPECT_EQ(decoded.priority_total_us[0].sum(),
-            wire.priority_total_us[0].sum());
-  EXPECT_EQ(decoded.priority_total_us[2].count(),
-            wire.priority_total_us[2].count());
-  EXPECT_EQ(decoded.total_us.count(), wire.total_us.count());
-  EXPECT_EQ(decoded.total_us.sum(), wire.total_us.sum());
-  EXPECT_EQ(decoded.total_us.min(), wire.total_us.min());
-  EXPECT_EQ(decoded.total_us.max(), wire.total_us.max());
+  EXPECT_EQ(Encoded(decoded), bytes);
   EXPECT_EQ(decoded.service_us.Percentile(95),
-            wire.service_us.Percentile(95));
+            stats.service_us.Percentile(95));
 }
 
 TEST(ServerStatsWireTest, TruncatedStatsBytesFailCleanly) {
-  ipc::StatsResponse wire = ToWireStats(SampleStats(5));
-  std::string bytes;
-  wire.EncodeTo(&bytes);
-  for (size_t cut : {size_t{0}, size_t{1}, bytes.size() / 2,
-                     bytes.size() - 1}) {
+  const std::string bytes = Encoded(DistinctStats(5));
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
     util::ByteReader reader(std::string_view(bytes).substr(0, cut));
-    ipc::StatsResponse decoded;
+    ServerStats decoded;
     EXPECT_FALSE(decoded.DecodeFrom(&reader).ok()) << "cut=" << cut;
   }
+}
+
+TEST(ServerStatsWireTest, FlagOutsideZeroOrOneIsRejected) {
+  ServerStats on;
+  on.mapped_storage = true;
+  std::string bytes = Encoded(on);
+  const std::string off = Encoded(ServerStats{});
+  // The two encodings differ only in the flag's one-byte varint.
+  ASSERT_EQ(bytes.size(), off.size());
+  const size_t flag = static_cast<size_t>(
+      std::mismatch(bytes.begin(), bytes.end(), off.begin()).first -
+      bytes.begin());
+  ASSERT_LT(flag, bytes.size());
+  bytes[flag] = 2;
+  util::ByteReader reader(bytes);
+  ServerStats decoded;
+  EXPECT_FALSE(decoded.DecodeFrom(&reader).ok());
 }
 
 }  // namespace

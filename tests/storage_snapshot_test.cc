@@ -20,6 +20,7 @@
 #include "storage/format.h"
 #include "storage/writer.h"
 #include "web/synthesizer.h"
+#include "test_util.h"
 
 namespace cafc::storage {
 namespace {
@@ -39,9 +40,7 @@ web::SynthesizerConfig SmallConfig() {
   return config;
 }
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using ::cafc::test::TempPath;
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -320,8 +319,7 @@ TEST_F(SnapshotTest, TruncationAtAnyBoundaryFailsTheOpen) {
 }
 
 TEST_F(SnapshotTest, WriteIntoMissingDirectoryFailsAndLeavesNoDroppings) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/no_such_dir/x.cafc3";
+  const std::string path = TempPath("no_such_dir") + "/x.cafc3";
   Status status = WriteSnapshotV3(*directory_, nullptr, path);
   EXPECT_FALSE(status.ok());
 }
