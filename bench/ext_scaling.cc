@@ -3,22 +3,21 @@
 // size, the thread count, measuring per-stage wall time (crawl+extract,
 // hub-cluster generation, seed selection, k-means) plus CAFC-CH quality.
 //
-// Besides the human-readable table, the sweep is emitted as
-// BENCH_scaling.json (see docs/performance.md for the schema) so the perf
-// trajectory is machine-trackable across commits. Clustering output is
+// Besides the human-readable table, every stage time and quality figure is
+// a measurement in BENCH_scaling.json (bench/harness.h), named
+// `scaling.<form pages>p.<threads>t.<stage>`. Clustering output is
 // bit-identical across thread counts, so the entropy / f-measure columns
-// must not vary with threads — the bench verifies that and fails loudly
-// if they do.
+// must not vary with threads: one correctness gate, enforced.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/common.h"
+#include "bench/harness.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -30,11 +29,6 @@ using namespace cafc;         // NOLINT
 using namespace cafc::bench;  // NOLINT
 using Clock = std::chrono::steady_clock;
 
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
 struct ThreadRun {
   int threads = 1;
   double hub_ms = 0.0;     // hub-cluster generation + cardinality filter
@@ -45,7 +39,6 @@ struct ThreadRun {
 };
 
 struct CorpusPoint {
-  int form_pages_requested = 0;
   size_t form_pages = 0;
   size_t web_pages = 0;
   double extract_ms = 0.0;  // crawl + classify + model build (serial stage)
@@ -104,47 +97,6 @@ ThreadRun TimedCafcCh(const FormPageSet& pages, int k,
   return run;
 }
 
-std::string JsonNumber(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-void WriteJson(const std::string& path, int hardware,
-               const std::vector<CorpusPoint>& points) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"bench\": \"ext_scaling\",\n";
-  out << "  \"hardware_concurrency\": " << hardware << ",\n";
-  out << "  \"corpus\": [\n";
-  for (size_t p = 0; p < points.size(); ++p) {
-    const CorpusPoint& cp = points[p];
-    out << "    {\n";
-    out << "      \"form_pages\": " << cp.form_pages << ",\n";
-    out << "      \"web_pages\": " << cp.web_pages << ",\n";
-    out << "      \"extract_ms\": " << JsonNumber(cp.extract_ms)
-        << ",\n";
-    out << "      \"runs\": [\n";
-    for (size_t r = 0; r < cp.runs.size(); ++r) {
-      const ThreadRun& run = cp.runs[r];
-      out << "        {\"threads\": " << run.threads
-          << ", \"hub_ms\": " << JsonNumber(run.hub_ms)
-          << ", \"select_ms\": " << JsonNumber(run.select_ms)
-          << ", \"kmeans_ms\": " << JsonNumber(run.kmeans_ms)
-          << ", \"cluster_ms\": " << JsonNumber(run.total_ms)
-          << ", \"entropy\": " << JsonNumber(run.quality.entropy)
-          << ", \"f_measure\": " << JsonNumber(run.quality.f_measure)
-          << "}" << (r + 1 < cp.runs.size() ? "," : "") << "\n";
-    }
-    out << "      ]\n";
-    out << "    }" << (p + 1 < points.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -160,9 +112,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<int> sweep = ThreadSweep();
-  const int hardware = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  std::vector<CorpusPoint> points;
+  GateReport report("scaling", /*smoke=*/false);
   bool quality_consistent = true;
 
   Table table({"form pages", "web pages", "threads", "crawl+extract (ms)",
@@ -202,7 +152,6 @@ int main(int argc, char** argv) {
     FormPageSet pages = BuildFormPageSet(*dataset);
 
     CorpusPoint point;
-    point.form_pages_requested = form_pages;
     point.form_pages = dataset->entries.size();
     point.web_pages = web.pages().size();
     point.extract_ms = MsSince(start);
@@ -226,9 +175,17 @@ int main(int argc, char** argv) {
                     Fmt(run.hub_ms, 0), Fmt(run.select_ms, 0),
                     Fmt(run.kmeans_ms, 0), Fmt(run.total_ms, 0),
                     Fmt(run.quality.entropy), Fmt(run.quality.f_measure)});
+      const std::string prefix = "scaling." +
+                                 std::to_string(point.form_pages) + "p." +
+                                 std::to_string(threads) + "t.";
+      report.Measure(prefix + "extract_ms", point.extract_ms);
+      report.Measure(prefix + "hub_ms", run.hub_ms);
+      report.Measure(prefix + "select_ms", run.select_ms);
+      report.Measure(prefix + "kmeans_ms", run.kmeans_ms);
+      report.Measure(prefix + "entropy", run.quality.entropy);
+      report.Measure(prefix + "f_measure", run.quality.f_measure);
       point.runs.push_back(run);
     }
-    points.push_back(std::move(point));
   }
 
   std::printf("=== Scaling: corpus size x thread count sweep ===\n%s",
@@ -238,14 +195,6 @@ int main(int argc, char** argv) {
       "shrinking with threads at fixed quality (entropy / f-measure are "
       "thread-count invariant by construction)\n");
 
-  WriteJson("BENCH_scaling.json", hardware, points);
-  std::printf("machine-readable sweep written to BENCH_scaling.json\n");
-
-  if (!quality_consistent) {
-    std::fprintf(stderr,
-                 "FAIL: quality varied across thread counts — the "
-                 "deterministic-partitioning contract is broken\n");
-    return 1;
-  }
-  return 0;
+  report.Require("scaling.quality_thread_invariant", quality_consistent);
+  return report.Finish();
 }

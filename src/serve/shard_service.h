@@ -24,9 +24,12 @@ namespace cafc::serve {
 /// ServeLoop threads; DirectoryServer::Query does the synchronization.
 ///
 /// After a local refresh reshapes the shard's sections the frozen mapping
-/// no longer describes them; local indices past its end fail Internal
-/// rather than mislabel (re-partitioning rebuilds the mapping — see
-/// docs/sharding.md).
+/// no longer describes them. Only a local index past its end fails
+/// Internal. A refresh that empties an interior section drops it and
+/// renumbers the later sections by position, so each of those answers
+/// under its neighbour's global id, with no error. Re-partitioning
+/// rebuilds the mapping; ROADMAP's "Stable section ids" item tracks the
+/// fix (see docs/sharding.md).
 class DirectoryShardService : public ipc::ShardHandler {
  public:
   /// `server` must outlive the service. `global_sections[i]` is the

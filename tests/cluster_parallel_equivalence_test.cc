@@ -12,6 +12,7 @@
 // machines may expose a single core.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bench/common.h"
@@ -113,6 +114,39 @@ TEST_F(ParallelEquivalenceTest, AverageCafcCIdenticalAcrossThreadCounts) {
     bench::Quality parallel = bench::AverageCafcC(wb(), kK, options, 4);
     EXPECT_EQ(parallel.entropy, serial.entropy) << "threads=" << threads;
     EXPECT_EQ(parallel.f_measure, serial.f_measure) << "threads=" << threads;
+  }
+}
+
+TEST_F(ParallelEquivalenceTest, SublinearKernelsMatchExactAtPaperScale) {
+  // Same seeds, three thread counts: the pruned kernel and a full-sized
+  // mini-batch must reproduce the exact kernel's assignment, and a genuine
+  // (quarter-sized) mini-batch must not depend on the thread count.
+  Rng seed_rng(1000);
+  const std::vector<std::vector<size_t>> seeds =
+      cluster::RandomSingletonSeeds(wb().pages.size(), kK, &seed_rng);
+  std::vector<int> minibatch_reference;
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CafcOptions options;
+    options.threads = threads;
+    options.kmeans.kernel = cluster::AssignmentKernel::kExact;
+    const cluster::Clustering exact =
+        CafcCWithSeeds(wb().pages, seeds, options);
+    options.kmeans.kernel = cluster::AssignmentKernel::kPruned;
+    EXPECT_EQ(CafcCWithSeeds(wb().pages, seeds, options).assignment,
+              exact.assignment);
+    options.kmeans.kernel = cluster::AssignmentKernel::kAuto;
+    options.kmeans.minibatch_size = wb().pages.size();
+    EXPECT_EQ(CafcCWithSeeds(wb().pages, seeds, options).assignment,
+              exact.assignment);
+    options.kmeans.minibatch_size = wb().pages.size() / 4;
+    const cluster::Clustering minibatch =
+        CafcCWithSeeds(wb().pages, seeds, options);
+    if (minibatch_reference.empty()) {
+      minibatch_reference = minibatch.assignment;
+    } else {
+      EXPECT_EQ(minibatch.assignment, minibatch_reference);
+    }
   }
 }
 

@@ -1,5 +1,7 @@
 #include "core/corpus.h"
 
+#include <algorithm>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -94,6 +96,29 @@ TEST(CorpusTest, EpochMatchesRebuildAfterGrowth) {
   EXPECT_GT(*added, 0u);
   ExpectSetsIdentical(corpus.Weighted(),
                       BuildFormPageSet(corpus.SnapshotDataset()));
+}
+
+TEST(CorpusTest, EveryBatchEpochMatchesRebuild) {
+  // Grow a fresh corpus from the same observations in batches of 1, 8 and
+  // 64 pages, deriving after every batch: each epoch must equal the
+  // from-scratch rebuild of the pages added so far.
+  Corpus source = BuildSmallCorpus(11);
+  const std::vector<DatasetEntry> master = source.TakeEntries();
+  for (size_t batch : {1u, 8u, 64u}) {
+    Corpus corpus;
+    for (size_t at = 0; at < master.size(); at += batch) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + " at " +
+                   std::to_string(at));
+      const size_t end = std::min(at + batch, master.size());
+      std::vector<DatasetEntry> pages(
+          master.begin() + static_cast<ptrdiff_t>(at),
+          master.begin() + static_cast<ptrdiff_t>(end));
+      ASSERT_TRUE(corpus.AddPages(std::move(pages)).ok());
+      ExpectSetsIdentical(corpus.Weighted(),
+                          BuildFormPageSet(corpus.SnapshotDataset()));
+    }
+    EXPECT_EQ(corpus.size(), master.size());
+  }
 }
 
 TEST(CorpusTest, DuplicateUrlsAreSkipped) {
@@ -195,7 +220,7 @@ TEST(CorpusTest, AddRejectsOutOfRangeIds) {
 }
 
 TEST(CorpusTest, EpochsAreThreadCountInvariant) {
-  // The same growth schedule at 1 and at 4 threads must produce
+  // The same growth schedule at 1, 2, 4 and 8 threads must produce
   // bit-identical epochs (profiles and vectors are pure per-page work over
   // fixed grains; everything order-dependent is serial).
   auto grow = [](int threads) {
@@ -208,8 +233,11 @@ TEST(CorpusTest, EpochsAreThreadCountInvariant) {
     return corpus;
   };
   Corpus serial = grow(1);
-  Corpus parallel = grow(4);
-  ExpectSetsIdentical(serial.Weighted(), parallel.Weighted());
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Corpus parallel = grow(threads);
+    ExpectSetsIdentical(serial.Weighted(), parallel.Weighted());
+  }
 }
 
 TEST(CorpusTest, TakeEntriesLeavesCorpusEmpty) {

@@ -1,15 +1,21 @@
 // Determinism check for the parallel ingestion pipeline: BuildDataset must
 // produce a bit-identical Dataset — entries, interned term streams,
 // dictionary contents, counters — and BuildFormPageSet identical weighted
-// vectors, at every thread count. This is the ingestion twin of
-// cluster_parallel_equivalence_test: per-chunk dictionary shards merged in
-// fixed chunk order, outcomes written to per-candidate slots, and all
-// policy applied in a serial candidate-order pass.
+// vectors, at every thread count, with and without injected faults. This
+// is the ingestion twin of cluster_parallel_equivalence_test: per-chunk
+// dictionary shards merged in fixed chunk order, outcomes written to
+// per-candidate slots, and all policy applied in a serial candidate-order
+// pass. The id-based weights must also equal the string-keyed weighting
+// path term for term.
 
+#include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/cafc.h"
 #include "core/dataset.h"
 #include "util/thread_pool.h"
 #include "web/fault_injection.h"
@@ -33,13 +39,28 @@ web::SynthesizerConfig TestConfig() {
   return config;
 }
 
-Dataset Build(const web::SyntheticWeb& web, int threads) {
+/// Builds the dataset at `threads`, fetching through a fresh fault
+/// decorator when `profile` is given: its attempt counters model one run's
+/// view of the network, and sharing them would warm later runs.
+Dataset Build(const web::SyntheticWeb& web, int threads,
+              const web::FaultProfile* profile = nullptr) {
+  std::optional<web::FaultInjectingFetcher> faulty;
   DatasetOptions options;
   options.collect_anchor_text = true;  // exercise the hub-DOM cache too
   options.threads = threads;
+  if (profile != nullptr) options.fetcher = &faulty.emplace(&web, *profile);
   Result<Dataset> dataset = BuildDataset(web, options);
   EXPECT_TRUE(dataset.ok());
   return std::move(dataset).value();
+}
+
+/// Weight map keyed by term string, so vectors from differently numbered
+/// dictionaries compare exactly.
+std::map<std::string, double> ByTermString(const vsm::SparseVector& v,
+                                           const vsm::TermDictionary& dict) {
+  std::map<std::string, double> out;
+  for (const vsm::Entry& e : v.entries()) out[dict.term(e.term)] = e.weight;
+  return out;
 }
 
 void ExpectDatasetsIdentical(const Dataset& a, const Dataset& b,
@@ -141,27 +162,14 @@ TEST_F(DatasetParallelTest, TransientFaultsInvisibleInFinalDataset) {
   profile.transient_attempts = 2;
   profile.seed = 21;
 
-  auto build_faulted = [&](int threads) {
-    // Fresh decorator per run: attempt counters model one run's view of
-    // the network, and sharing them would warm later runs.
-    web::FaultInjectingFetcher faulty(web_, profile);
-    DatasetOptions options;
-    options.collect_anchor_text = true;
-    options.threads = threads;
-    options.fetcher = &faulty;
-    Result<Dataset> dataset = BuildDataset(*web_, options);
-    EXPECT_TRUE(dataset.ok());
-    return std::move(dataset).value();
-  };
-
-  Dataset faulted = build_faulted(1);
+  Dataset faulted = Build(*web_, 1, &profile);
   EXPECT_GT(faulted.stats.crawl.transient_recovered, 0u);
   EXPECT_GT(faulted.stats.crawl.retry_attempts, 0u);
   EXPECT_EQ(faulted.stats.crawl.fetch_failures(), 0u);
 
   // Identical across thread counts, including the full failure taxonomy.
   for (int threads : {2, 8}) {
-    Dataset parallel = build_faulted(threads);
+    Dataset parallel = Build(*web_, threads, &profile);
     ExpectDatasetsIdentical(faulted, parallel, threads);
   }
 
@@ -169,6 +177,81 @@ TEST_F(DatasetParallelTest, TransientFaultsInvisibleInFinalDataset) {
   // one legitimate difference) is factored out.
   faulted.stats.crawl = serial_->stats.crawl;
   ExpectDatasetsIdentical(*serial_, faulted, 1);
+}
+
+TEST_F(DatasetParallelTest, FaultBandsThreadInvariantAndRecoveryMonotone) {
+  // One permanent fault kind at a time, at rising rates. At every rate the
+  // dataset, failure taxonomy included, is identical across thread counts.
+  // The stacked-band assignment nests the fault sets, so the recovered
+  // page count can only fall as the rate grows, and CAFC-CH still files
+  // what survives into k clusters: degradation, never collapse.
+  struct Band {
+    const char* kind;
+    double web::FaultProfile::*rate;
+  };
+  const Band bands[] = {{"dead", &web::FaultProfile::dead_rate},
+                        {"truncated", &web::FaultProfile::truncated_rate},
+                        {"soft404", &web::FaultProfile::soft404_rate}};
+  constexpr int kClusters = 8;
+  for (const Band& band : bands) {
+    size_t recovered = serial_->entries.size();  // rate 0
+    for (double rate : {0.1, 0.2, 0.4}) {
+      SCOPED_TRACE(std::string(band.kind) + " " + std::to_string(rate));
+      web::FaultProfile profile;
+      profile.seed = 13;
+      profile.*band.rate = rate;
+      Dataset faulted = Build(*web_, 1, &profile);
+      for (int threads : {2, 8}) {
+        ExpectDatasetsIdentical(faulted, Build(*web_, threads, &profile),
+                                threads);
+      }
+      EXPECT_LE(faulted.entries.size(), recovered);
+      recovered = faulted.entries.size();
+
+      FormPageSet pages = BuildFormPageSet(faulted);
+      cluster::Clustering clustering =
+          CafcCh(pages, kClusters, CafcChOptions{});
+      EXPECT_EQ(clustering.num_clusters, kClusters);
+      EXPECT_EQ(clustering.assignment.size(), pages.size());
+    }
+  }
+}
+
+TEST_F(DatasetParallelTest, InternedWeightsMatchStringKeyedPath) {
+  // Re-weigh the dataset through the string-keyed path (string
+  // CorpusStats::AddDocument + TfIdfWeighter::Weigh over a private
+  // dictionary): every weight must equal the id-based one, same doubles,
+  // compared per term string so the id numbering cannot hide a drift.
+  const Dataset& dataset = *serial_;
+  const FormPageSet id_set = BuildFormPageSet(dataset);
+  auto resolve = [&dataset](const std::vector<vsm::InternedTerm>& terms) {
+    std::vector<vsm::LocatedTerm> out;
+    for (const vsm::InternedTerm& t : terms) {
+      out.push_back({dataset.dictionary->term(t.term), t.location});
+    }
+    return out;
+  };
+  FormPageSet string_set;
+  std::vector<std::vector<vsm::LocatedTerm>> pc_docs;
+  std::vector<std::vector<vsm::LocatedTerm>> fc_docs;
+  for (const DatasetEntry& e : dataset.entries) {
+    pc_docs.push_back(resolve(e.doc.page_terms));
+    fc_docs.push_back(resolve(e.doc.form_terms));
+    string_set.mutable_pc_stats()->AddDocument(pc_docs.back());
+    string_set.mutable_fc_stats()->AddDocument(fc_docs.back());
+  }
+  vsm::TfIdfWeighter pc_weighter(&string_set.pc_stats(), {});
+  vsm::TfIdfWeighter fc_weighter(&string_set.fc_stats(), {});
+  ASSERT_EQ(id_set.size(), dataset.entries.size());
+  for (size_t i = 0; i < id_set.size(); ++i) {
+    SCOPED_TRACE(id_set.page(i).url);
+    EXPECT_EQ(ByTermString(id_set.page(i).pc, id_set.dictionary()),
+              ByTermString(pc_weighter.Weigh(pc_docs[i]),
+                           string_set.dictionary()));
+    EXPECT_EQ(ByTermString(id_set.page(i).fc, id_set.dictionary()),
+              ByTermString(fc_weighter.Weigh(fc_docs[i]),
+                           string_set.dictionary()));
+  }
 }
 
 TEST_F(DatasetParallelTest, SingleParsePipelineAccounting) {

@@ -12,43 +12,13 @@
 #include "core/ingest.h"
 #include "util/rng.h"
 #include "web/synthesizer.h"
+#include "fixtures.h"
 
 namespace cafc {
 namespace {
 
-web::SynthesizerConfig GrowConfig(uint32_t seed, size_t form_pages) {
-  web::SynthesizerConfig config;
-  config.seed = seed;
-  config.form_pages_total = form_pages;
-  config.single_attribute_forms = form_pages / 8;
-  config.homogeneous_hubs_per_domain = 20;
-  config.mixed_hubs = 30;
-  config.directory_hubs = 3;
-  config.large_air_hotel_hubs = 3;
-  config.non_searchable_form_pages = 2;
-  config.noise_pages = 2;
-  config.outlier_pages = 0;
-  return config;
-}
-
-Corpus GrowCorpus(uint32_t seed, size_t form_pages) {
-  web::SyntheticWeb web =
-      web::Synthesizer(GrowConfig(seed, form_pages)).Generate();
-  Result<CorpusBuild> build = BuildCorpus(web);
-  EXPECT_TRUE(build.ok()) << build.status().ToString();
-  return std::move(build->corpus);
-}
-
-/// Directory over the corpus's current epoch, cold-seeded CAFC-C.
-DatabaseDirectory BuildDirectory(Corpus& corpus, int k,
-                                 cluster::KMeansStats* stats = nullptr) {
-  Rng rng(1234);
-  cluster::Clustering clustering =
-      CafcC(corpus.Weighted(), k, CafcOptions{}, &rng, stats);
-  return DatabaseDirectory::Build(
-      corpus.Weighted(), clustering,
-      DatabaseDirectory::AutoLabels(corpus.Weighted(), clustering));
-}
+using test::BuildDirectory;
+using test::GrowCorpus;
 
 TEST(DirectoryRefreshTest, RefilesGrownCorpusAndReportsDrift) {
   Corpus corpus = GrowCorpus(21, 48);

@@ -19,33 +19,14 @@
 #include "core/ingest.h"
 #include "util/rng.h"
 #include "web/synthesizer.h"
+#include "fixtures.h"
 
 namespace cafc {
 namespace {
 
-Corpus GrowCorpus(uint32_t seed, size_t form_pages) {
-  web::SynthesizerConfig config;
-  config.seed = seed;
-  config.form_pages_total = form_pages;
-  config.single_attribute_forms = form_pages / 8;
-  config.homogeneous_hubs_per_domain = 20;
-  config.mixed_hubs = 30;
-  config.directory_hubs = 2;
-  config.large_air_hotel_hubs = 2;
-  web::SyntheticWeb web = web::Synthesizer(config).Generate();
-  Result<CorpusBuild> build = BuildCorpus(web);
-  EXPECT_TRUE(build.ok()) << build.status().ToString();
-  return std::move(build->corpus);
-}
-
-DatabaseDirectory BuildDirectory(Corpus& corpus, int k = 6) {
-  Rng rng(1234);
-  cluster::Clustering clustering =
-      CafcC(corpus.Weighted(), k, CafcOptions{}, &rng);
-  return DatabaseDirectory::Build(
-      corpus.Weighted(), clustering,
-      DatabaseDirectory::AutoLabels(corpus.Weighted(), clustering));
-}
+using test::BuildDirectory;
+using test::CorpusOf;
+using test::MakeGrowthWeb;
 
 TEST(ShardForSiteTest, DeterministicPureFunctionOfSiteAndCount) {
   for (const char* site : {"jobs.example.com", "hotel.example.org", ""}) {
@@ -68,7 +49,7 @@ TEST(PlanPartitionTest, EmptyCorpusYieldsEmptyValidPlan) {
 }
 
 TEST(PlanPartitionTest, SlotsPartitionTheCorpusSiteCoherently) {
-  Corpus corpus = GrowCorpus(31, 48);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(31, 48));
   PartitionPlan plan = PlanPartition(corpus, 3);
   std::set<size_t> seen;
   for (size_t s = 0; s < plan.slots.size(); ++s) {
@@ -77,7 +58,9 @@ TEST(PlanPartitionTest, SlotsPartitionTheCorpusSiteCoherently) {
     for (size_t slot : plan.slots[s]) {
       // Each slot appears exactly once, ascending within its shard.
       EXPECT_TRUE(seen.insert(slot).second);
-      if (!first) EXPECT_GT(slot, previous);
+      if (!first) {
+        EXPECT_GT(slot, previous);
+      }
       previous = slot;
       first = false;
       // Site coherence: the slot landed on its site's hash shard.
@@ -88,7 +71,7 @@ TEST(PlanPartitionTest, SlotsPartitionTheCorpusSiteCoherently) {
 }
 
 TEST(PlanPartitionTest, AssignmentStableAcrossCorpusChurn) {
-  Corpus corpus = GrowCorpus(31, 48);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(31, 48));
   // Site -> shard before churn.
   std::unordered_map<std::string, size_t> before;
   PartitionPlan plan = PlanPartition(corpus, 4);
@@ -98,7 +81,7 @@ TEST(PlanPartitionTest, AssignmentStableAcrossCorpusChurn) {
     }
   }
   // Grow and shrink the corpus; surviving sites must keep their shard.
-  Corpus incoming = GrowCorpus(32, 16);
+  Corpus incoming = CorpusOf(MakeGrowthWeb(32, 16));
   ASSERT_TRUE(corpus.AddPages(incoming.TakeEntries()).ok());
   corpus.RemovePages({corpus.entries().front().doc.url});
   PartitionPlan after = PlanPartition(corpus, 4);
@@ -113,7 +96,7 @@ TEST(PlanPartitionTest, AssignmentStableAcrossCorpusChurn) {
 }
 
 TEST(PartitionDirectoryTest, MoreShardsThanSitesLeavesSurplusEmptyButValid) {
-  Corpus corpus = GrowCorpus(33, 16);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(33, 16));
   DatabaseDirectory global = BuildDirectory(corpus, 3);
   Result<std::vector<ShardBundle>> bundles =
       PartitionDirectory(global, corpus, 64);
@@ -133,7 +116,7 @@ TEST(PartitionDirectoryTest, MoreShardsThanSitesLeavesSurplusEmptyButValid) {
 }
 
 TEST(PartitionDirectoryTest, EveryGlobalSectionHostedAndMembersConserved) {
-  Corpus corpus = GrowCorpus(31, 48);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(31, 48));
   DatabaseDirectory global = BuildDirectory(corpus);
   Result<std::vector<ShardBundle>> bundles =
       PartitionDirectory(global, corpus, 4);
@@ -169,7 +152,7 @@ TEST(PartitionDirectoryTest, EveryGlobalSectionHostedAndMembersConserved) {
 }
 
 TEST(PartitionDirectoryTest, DfBroadcastMakesShardWeightsBitIdentical) {
-  Corpus corpus = GrowCorpus(31, 48);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(31, 48));
   DatabaseDirectory global = BuildDirectory(corpus);
   Result<std::vector<ShardBundle>> bundles =
       PartitionDirectory(global, corpus, 3);
@@ -194,7 +177,7 @@ TEST(PartitionDirectoryTest, DfBroadcastMakesShardWeightsBitIdentical) {
 }
 
 TEST(PartitionDirectoryTest, MergedShardClassifyEqualsGlobalClassify) {
-  Corpus corpus = GrowCorpus(31, 48);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(31, 48));
   DatabaseDirectory global = BuildDirectory(corpus);
   Result<std::vector<ShardBundle>> bundles =
       PartitionDirectory(global, corpus, 4);
@@ -225,7 +208,7 @@ TEST(PartitionDirectoryTest, MergedShardClassifyEqualsGlobalClassify) {
 }
 
 TEST(PartitionDirectoryTest, DriftedDirectoryFailsInvalidArgument) {
-  Corpus corpus = GrowCorpus(33, 16);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(33, 16));
   DatabaseDirectory global = BuildDirectory(corpus, 3);
   // Remove a page that is a member of some section: the directory now
   // references a URL the corpus no longer has.

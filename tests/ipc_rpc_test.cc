@@ -246,7 +246,7 @@ TEST(ShardRpcTest, HostileEnvelopeBytesFailCleanly) {
     EXPECT_EQ(request.DecodeFrom(&reader).code(), StatusCode::kParseError);
   }
   // ...and header truncation must fail cleanly, not crash.
-  for (const std::string bytes : {std::string(), std::string(1, 0x05)}) {
+  for (const std::string& bytes : {std::string(), std::string(1, 0x05)}) {
     util::ByteReader reader(bytes);
     EXPECT_FALSE(request.DecodeFrom(&reader).ok());
   }

@@ -24,9 +24,13 @@
 #include "serve/server.h"
 #include "util/rng.h"
 #include "web/synthesizer.h"
+#include "fixtures.h"
 
 namespace cafc {
 namespace {
+
+using test::BuildDirectory;
+using test::GrowCorpus;
 
 using serve::DirectoryServer;
 using serve::DirectoryServerOptions;
@@ -42,38 +46,6 @@ constexpr size_t kBatchPages = 12;
 const char* kQueries[] = {"job career employ", "hotel room",
                           "flight airline ticket", "music cd artist",
                           "book author"};
-
-web::SynthesizerConfig GrowConfig(uint32_t seed, size_t form_pages) {
-  web::SynthesizerConfig config;
-  config.seed = seed;
-  config.form_pages_total = form_pages;
-  config.single_attribute_forms = form_pages / 8;
-  config.homogeneous_hubs_per_domain = 20;
-  config.mixed_hubs = 30;
-  config.directory_hubs = 3;
-  config.large_air_hotel_hubs = 3;
-  config.non_searchable_form_pages = 2;
-  config.noise_pages = 2;
-  config.outlier_pages = 0;
-  return config;
-}
-
-Corpus GrowCorpus(uint32_t seed, size_t form_pages) {
-  web::SyntheticWeb web =
-      web::Synthesizer(GrowConfig(seed, form_pages)).Generate();
-  Result<CorpusBuild> build = BuildCorpus(web);
-  EXPECT_TRUE(build.ok()) << build.status().ToString();
-  return std::move(build->corpus);
-}
-
-DatabaseDirectory BuildDirectory(Corpus& corpus) {
-  Rng rng(1234);
-  cluster::Clustering clustering =
-      CafcC(corpus.Weighted(), 6, CafcOptions{}, &rng);
-  return DatabaseDirectory::Build(
-      corpus.Weighted(), clustering,
-      DatabaseDirectory::AutoLabels(corpus.Weighted(), clustering));
-}
 
 /// Serial oracle answers at one snapshot version: classification per probe
 /// document, hits per canned query.

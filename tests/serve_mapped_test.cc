@@ -1,7 +1,8 @@
 // Tests of snapshot-backed (read-only, mmapped) DirectoryServer mode:
 // stored-page classification and search must be bit-identical to the
-// in-RAM directory at any worker count, refresh must be refused, and the
-// storage counters must surface through ServerStats.
+// in-RAM directory at any worker count and under a tight memory budget,
+// refresh must be refused, and the storage counters must surface through
+// ServerStats.
 
 #include <cstdio>
 #include <future>
@@ -106,7 +107,7 @@ TEST_F(MappedServeTest, StoredClassifyMatchesInRamAtEveryWorkerCount) {
         pages_->page(i), ContentConfig::kFcPlusPc, reference_index));
   }
 
-  for (size_t workers : {size_t{1}, size_t{3}}) {
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
     auto snapshot = OpenSnapshot();
     ASSERT_NE(snapshot, nullptr);
     DirectoryServerOptions options;
@@ -196,6 +197,45 @@ TEST_F(MappedServeTest, StatsSurfaceStorageCounters) {
   EXPECT_GE(stats.storage_resident_bytes, stats.storage_fixed_bytes);
   EXPECT_LE(stats.storage_resident_bytes, budget);
   server.Shutdown();
+}
+
+TEST_F(MappedServeTest, BudgetedServingStaysUnderBudgetAndBitExact) {
+  // A budget barely above the fixed footprint: a hot page interleaved
+  // with a sweep must produce page-LRU hits, misses and evictions, the
+  // resident bytes must never cross the budget, and every answer served
+  // from spilled profiles must still equal the in-RAM directory's.
+  auto probe = OpenSnapshot();
+  ASSERT_NE(probe, nullptr);
+  const uint64_t budget = probe->fixed_resident_bytes() + 8 * 1024;
+  probe.reset();
+  auto snapshot = OpenSnapshot(budget);
+  ASSERT_NE(snapshot, nullptr);
+  const cluster::CentroidIndex reference_index =
+      directory_->BuildCentroidIndex();
+  DirectoryServerOptions options;
+  options.workers = 2;
+  DirectoryServer server(snapshot, options);
+
+  for (size_t i = 0; i < pages_->size(); ++i) {
+    for (size_t ordinal : {size_t{0}, i}) {
+      QueryRequest request;
+      request.kind = QueryKind::kClassifyStored;
+      request.page_ordinal = ordinal;
+      QueryResponse response = server.Query(std::move(request));
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      DatabaseDirectory::Classification expected = directory_->ClassifyPage(
+          pages_->page(ordinal), ContentConfig::kFcPlusPc, reference_index);
+      EXPECT_EQ(response.classification.entry, expected.entry) << ordinal;
+      EXPECT_EQ(response.classification.similarity, expected.similarity)
+          << ordinal;
+      EXPECT_LE(snapshot->resident_bytes(), budget);
+    }
+  }
+  server.Shutdown();
+  const storage::PageStoreStats stats = snapshot->page_store_stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.misses, 0u);
+  EXPECT_GT(stats.evictions, 0u);
 }
 
 TEST_F(MappedServeTest, StoredClassifyRejectsBadOrdinal) {

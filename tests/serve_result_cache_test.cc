@@ -1,12 +1,20 @@
 // Tests of the epoch-keyed result cache: exact-version freshness, LRU
 // byte budgeting, the stale LookupAny degradation path, and — through a
-// live DirectoryServer — the refresh-storm invariant the workload bench
-// gates: after snapshot N+1 publishes, no answer computed at snapshot N
-// is ever served without the stale flag.
+// live DirectoryServer driven by seeded workloads — the serving
+// invariants: a Zipfian mix answers bit-identically with the cache on and
+// off and reaches the hit-rate floor its skew predicts, and across a
+// refresh storm with degradation on, no answer computed at snapshot N is
+// ever served after N+1 published without the stale flag.
 
 #include "serve/result_cache.h"
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <map>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,9 +26,14 @@
 #include "serve/server.h"
 #include "util/rng.h"
 #include "web/synthesizer.h"
+#include "workload/workload.h"
+#include "fixtures.h"
 
 namespace cafc {
 namespace {
+
+using test::BuildDirectory;
+using test::GrowCorpus;
 
 using serve::CachedAnswer;
 using serve::ResultCache;
@@ -152,36 +165,12 @@ TEST(ResultCacheTest, ClearDropsEntriesKeepsCounters) {
 // ---------------------------------------------------------------------
 // Refresh-storm invariant through the full server.
 
-web::SynthesizerConfig GrowConfig(uint32_t seed, size_t form_pages) {
-  web::SynthesizerConfig config;
-  config.seed = seed;
-  config.form_pages_total = form_pages;
-  config.single_attribute_forms = form_pages / 8;
-  config.homogeneous_hubs_per_domain = 20;
-  config.mixed_hubs = 30;
-  config.directory_hubs = 3;
-  config.large_air_hotel_hubs = 3;
-  config.non_searchable_form_pages = 2;
-  config.noise_pages = 2;
-  config.outlier_pages = 0;
-  return config;
-}
-
-Corpus GrowCorpus(uint32_t seed, size_t form_pages) {
-  web::SyntheticWeb web =
-      web::Synthesizer(GrowConfig(seed, form_pages)).Generate();
-  Result<CorpusBuild> build = BuildCorpus(web);
-  EXPECT_TRUE(build.ok()) << build.status().ToString();
-  return std::move(build->corpus);
-}
-
-DatabaseDirectory BuildDirectory(Corpus& corpus, int k = 6) {
-  Rng rng(1234);
-  cluster::Clustering clustering =
-      CafcC(corpus.Weighted(), k, CafcOptions{}, &rng);
-  return DatabaseDirectory::Build(
-      corpus.Weighted(), clustering,
-      DatabaseDirectory::AutoLabels(corpus.Weighted(), clustering));
+/// submitted must equal the sum of every admission outcome: the ledger
+/// that catches a response path forgetting to account itself.
+bool AccountingCloses(const serve::ServerStats& stats) {
+  return stats.submitted == stats.accepted + stats.rejected_queue_full +
+                                stats.rejected_stopped + stats.cache_hits +
+                                stats.stale_served;
 }
 
 serve::QueryRequest SearchRequest(std::string query) {
@@ -279,6 +268,257 @@ TEST(ResultCacheStormTest, CachedAnswerIsBitIdenticalToRecompute) {
       EXPECT_EQ(warm.hits[i].similarity, cold.hits[i].similarity) << q;
     }
   }
+  server.Shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Seeded workloads through the full server.
+
+/// A corpus, its directory, and the probe material a workload indexes:
+/// one document per corpus page and the directory labels as the search
+/// pool (popularity-rank order).
+struct WorkloadBench {
+  Corpus corpus = GrowCorpus(21, 48);
+  DatabaseDirectory directory = BuildDirectory(corpus);
+  std::vector<forms::FormPageDocument> docs;
+  std::vector<std::string> search_pool;
+
+  WorkloadBench() {
+    for (const DatasetEntry& e : corpus.entries()) docs.push_back(e.doc);
+    for (const auto& entry : directory.entries()) {
+      search_pool.push_back(entry.label);
+    }
+  }
+
+  serve::QueryRequest RequestFor(const workload::WorkloadEvent& event) const {
+    serve::QueryRequest request;
+    request.priority = event.priority;
+    request.deadline_ms = event.deadline_ms;
+    if (event.is_classify) {
+      request.kind = serve::QueryKind::kClassify;
+      request.doc = docs[event.page_index % docs.size()];
+    } else {
+      request.kind = serve::QueryKind::kSearch;
+      request.query = event.query;
+      request.top_k = event.top_k;
+    }
+    return request;
+  }
+};
+
+TEST(WorkloadCacheTest, ZipfMixMatchesCacheOffAndReachesHitRateFloor) {
+  constexpr double kHitRateFloor = 0.50;
+  WorkloadBench bench;
+  workload::WorkloadOptions mix;
+  mix.seed = 11;
+  mix.num_events = 800;
+  mix.zipf_s = 1.1;
+  mix.closed_loop_clients = 4;
+  const workload::Workload schedule =
+      workload::GenerateWorkload(mix, bench.docs.size(), bench.search_pool);
+
+  // Closed loop: each virtual client walks its own events in order, so
+  // every event index is written by exactly one thread.
+  auto run = [&](size_t cache_bytes, serve::ServerStats* stats) {
+    Corpus corpus = GrowCorpus(21, 48);
+    DatabaseDirectory directory = BuildDirectory(corpus);
+    serve::DirectoryServerOptions options;
+    options.workers = 4;
+    options.queue_capacity = 4096;
+    options.cache_bytes = cache_bytes;
+    serve::DirectoryServer server(std::move(directory), std::move(corpus),
+                                  options);
+    std::vector<serve::QueryResponse> responses(schedule.events.size());
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < mix.closed_loop_clients; ++c) {
+      clients.emplace_back([&, c] {
+        for (size_t i = 0; i < schedule.events.size(); ++i) {
+          if (schedule.events[i].client != c) continue;
+          responses[i] = server.Query(bench.RequestFor(schedule.events[i]));
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    *stats = server.Stats();
+    server.Shutdown();
+    return responses;
+  };
+  serve::ServerStats off_stats;
+  serve::ServerStats on_stats;
+  const std::vector<serve::QueryResponse> off = run(0, &off_stats);
+  const std::vector<serve::QueryResponse> on = run(16u << 20, &on_stats);
+
+  for (size_t i = 0; i < schedule.events.size(); ++i) {
+    ASSERT_TRUE(off[i].status.ok()) << i;
+    ASSERT_TRUE(on[i].status.ok()) << i;
+    EXPECT_EQ(on[i].snapshot_version, off[i].snapshot_version) << i;
+    EXPECT_EQ(on[i].classification.entry, off[i].classification.entry) << i;
+    EXPECT_EQ(on[i].classification.similarity,
+              off[i].classification.similarity)
+        << i;
+    ASSERT_EQ(on[i].hits.size(), off[i].hits.size()) << i;
+    for (size_t h = 0; h < on[i].hits.size(); ++h) {
+      EXPECT_EQ(on[i].hits[h].entry, off[i].hits[h].entry) << i;
+      EXPECT_EQ(on[i].hits[h].similarity, off[i].hits[h].similarity) << i;
+    }
+  }
+  const uint64_t lookups = on_stats.cache_hits + on_stats.cache_misses;
+  ASSERT_GT(lookups, 0u);
+  EXPECT_GE(static_cast<double>(on_stats.cache_hits) /
+                static_cast<double>(lookups),
+            kHitRateFloor);
+  EXPECT_TRUE(AccountingCloses(on_stats));
+  EXPECT_TRUE(AccountingCloses(off_stats));
+}
+
+TEST(WorkloadCacheTest, DegradedRefreshStormNeverServesStaleUnflagged) {
+  // Small queue, priority scheduling, cache and every degradation mode on,
+  // five snapshot swaps under open-loop bursts. Every OK answer must be
+  // flagged stale if it predates the snapshot published when it was
+  // submitted, must equal the serial oracle of the version it claims (a
+  // degraded search: an exact prefix of it), and the ledger must close.
+  constexpr size_t kSwaps = 5;
+  WorkloadBench bench;
+  auto round_batch = [](size_t round) {
+    return GrowCorpus(100 + static_cast<uint32_t>(round), 24);
+  };
+
+  // Serial oracle per snapshot version: a replica advanced through the
+  // same batches (bit-identical by the determinism contract).
+  struct Expected {
+    std::vector<DatabaseDirectory::Classification> classify;
+    std::vector<std::vector<DatabaseDirectory::SearchHit>> search;
+  };
+  std::map<uint64_t, Expected> oracle;
+  {
+    Corpus replica_corpus = GrowCorpus(21, 48);
+    DatabaseDirectory replica = BuildDirectory(replica_corpus);
+    for (size_t version = 1; version <= 1 + kSwaps; ++version) {
+      if (version > 1) {
+        ASSERT_TRUE(replica_corpus
+                        .AddPages(round_batch(version - 1).TakeEntries())
+                        .ok());
+        ASSERT_TRUE(replica.Refresh(replica_corpus).ok());
+      }
+      Expected& want = oracle[version];
+      for (const forms::FormPageDocument& doc : bench.docs) {
+        want.classify.push_back(replica.ClassifyDocument(doc));
+      }
+      for (const std::string& q : bench.search_pool) {
+        want.search.push_back(replica.Search(q, 5));
+      }
+    }
+  }
+  std::unordered_map<std::string, size_t> search_index;
+  for (size_t i = 0; i < bench.search_pool.size(); ++i) {
+    search_index.emplace(bench.search_pool[i], i);
+  }
+  auto matches = [&](const serve::QueryResponse& response,
+                     const workload::WorkloadEvent& event) {
+    auto it = oracle.find(response.snapshot_version);
+    if (it == oracle.end()) return false;
+    if (event.is_classify) {
+      const DatabaseDirectory::Classification& want =
+          it->second.classify[event.page_index % bench.docs.size()];
+      return response.classification.entry == want.entry &&
+             response.classification.similarity == want.similarity;
+    }
+    const auto& want = it->second.search[search_index.at(event.query)];
+    if (response.degraded ? response.hits.size() > want.size()
+                          : response.hits.size() != want.size()) {
+      return false;
+    }
+    for (size_t h = 0; h < response.hits.size(); ++h) {
+      if (response.hits[h].entry != want[h].entry ||
+          response.hits[h].similarity != want[h].similarity) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  workload::WorkloadOptions storm_mix;
+  storm_mix.seed = 23;
+  storm_mix.num_events = 512;
+  storm_mix.arrival.shape = workload::ArrivalShape::kDiurnal;
+  storm_mix.classes = {
+      {"interactive", serve::QueryPriority::kInteractive, 0.3, 0.5, 40.0},
+      {"standard", serve::QueryPriority::kStandard, 0.7, 0.5, 0.0},
+  };
+  const workload::Workload schedule = workload::GenerateWorkload(
+      storm_mix, bench.docs.size(), bench.search_pool);
+
+  Corpus corpus = GrowCorpus(21, 48);
+  DatabaseDirectory directory = BuildDirectory(corpus);
+  serve::DirectoryServerOptions options;
+  options.workers = 2;
+  options.queue_capacity = 48;  // small: overload windows are the point
+  options.service_pad_ms = 0.2;
+  options.scheduling = serve::SchedulingPolicy::kPriorityDeadline;
+  options.cache_bytes = 4u << 20;
+  options.degrade.enabled = true;
+  options.degrade.queue_high_water = 0.5;
+  options.degrade.truncated_top_k = 1;
+  options.degrade.serve_stale = true;
+  serve::DirectoryServer server(std::move(directory), std::move(corpus),
+                                options);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> responses{0};
+  std::atomic<uint64_t> torn{0};
+  std::atomic<uint64_t> stale_unflagged{0};
+  constexpr size_t kClients = 4;
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      // Open-loop bursts: each round fires a batch of Submits before
+      // draining any, so the clients together overrun the queue and the
+      // stale-serve and truncation paths trigger during the storm.
+      constexpr size_t kBatch = 24;
+      size_t next = c;
+      while (!stop.load(std::memory_order_relaxed)) {
+        std::vector<std::pair<size_t, uint64_t>> issued;  // event, version
+        std::vector<std::future<serve::QueryResponse>> inflight;
+        for (size_t b = 0; b < kBatch; ++b) {
+          const size_t event = next % schedule.events.size();
+          next += kClients;
+          // Versions only grow, so an OK answer older than the version
+          // published before its Submit is stale and must say so.
+          issued.emplace_back(event, server.snapshot()->version());
+          inflight.push_back(
+              server.Submit(bench.RequestFor(schedule.events[event])));
+        }
+        for (size_t b = 0; b < inflight.size(); ++b) {
+          serve::QueryResponse response = inflight[b].get();
+          if (!response.status.ok()) continue;
+          responses.fetch_add(1, std::memory_order_relaxed);
+          if (response.snapshot_version < issued[b].second &&
+              !response.stale) {
+            stale_unflagged.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (!matches(response, schedule.events[issued[b].first])) {
+            torn.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (size_t round = 1; round <= kSwaps; ++round) {
+    EXPECT_TRUE(server.ScheduleRefresh(round_batch(round).TakeEntries()).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  server.WaitForRefreshes();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stop.store(true);
+  for (std::thread& t : clients) t.join();
+
+  const serve::ServerStats stats = server.Stats();
+  EXPECT_EQ(stale_unflagged.load(), 0u);
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_GT(responses.load(), 0u);
+  EXPECT_EQ(stats.refreshes, kSwaps);
+  EXPECT_EQ(server.snapshot()->version(), 1 + kSwaps);
+  EXPECT_TRUE(AccountingCloses(stats));
   server.Shutdown();
 }
 

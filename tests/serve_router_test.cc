@@ -1,12 +1,20 @@
 // Tests of the scatter-gather ShardRouter over in-process RPC fleets:
-// merged answers bit-identical to the unsharded directory, per-shard
-// epoch echoes, explicit partial results when a shard dies, stats
+// merged answers bit-identical to the unsharded directory at every shard
+// and worker count, per-shard epoch echoes (never torn across a refresh
+// storm), explicit and lossless partial results when a shard dies, stats
 // aggregation, and the no-shards edge case.
 
 #include "serve/shard_router.h"
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,9 +31,16 @@
 #include "serve/shard_service.h"
 #include "util/rng.h"
 #include "web/synthesizer.h"
+#include "fixtures.h"
 
 namespace cafc {
 namespace {
+
+using test::BuildDirectory;
+using test::BuildSiteDirectory;
+using test::CorpusOf;
+using test::Fleet;
+using test::MakeGrowthWeb;
 
 using serve::DirectoryServer;
 using serve::DirectoryServerOptions;
@@ -34,108 +49,42 @@ using serve::RouterResponse;
 using serve::ShardRouter;
 using serve::ShardServiceHost;
 
-Corpus GrowCorpus(uint32_t seed, size_t form_pages) {
-  web::SynthesizerConfig config;
-  config.seed = seed;
-  config.form_pages_total = form_pages;
-  config.single_attribute_forms = form_pages / 8;
-  config.homogeneous_hubs_per_domain = 20;
-  config.mixed_hubs = 30;
-  config.directory_hubs = 2;
-  config.large_air_hotel_hubs = 2;
-  web::SyntheticWeb web = web::Synthesizer(config).Generate();
-  Result<CorpusBuild> build = BuildCorpus(web);
-  EXPECT_TRUE(build.ok()) << build.status().ToString();
-  return std::move(build->corpus);
-}
-
-DatabaseDirectory BuildDirectory(Corpus& corpus, int k = 6) {
-  Rng rng(1234);
-  cluster::Clustering clustering =
-      CafcC(corpus.Weighted(), k, CafcOptions{}, &rng);
-  return DatabaseDirectory::Build(
-      corpus.Weighted(), clustering,
-      DatabaseDirectory::AutoLabels(corpus.Weighted(), clustering));
-}
-
-/// An in-process shard fleet wired through the real RPC stack.
-struct Fleet {
-  Fleet() = default;
-  Fleet(Fleet&&) = default;
-  Fleet& operator=(Fleet&&) = default;
-
-  std::vector<std::unique_ptr<DirectoryServer>> servers;
-  std::vector<std::unique_ptr<DirectoryShardService>> services;
-  std::vector<std::unique_ptr<ShardServiceHost>> hosts;
-  std::unique_ptr<ShardRouter> router;
-
-  static Fleet Make(const DatabaseDirectory& global, const Corpus& corpus,
-                    size_t num_shards,
-                    serve::RouterOptions router_options = {}) {
-    Result<std::vector<ShardBundle>> bundles =
-        PartitionDirectory(global, corpus, num_shards);
-    EXPECT_TRUE(bundles.ok()) << bundles.status().ToString();
-    Fleet fleet;
-    std::vector<std::unique_ptr<ipc::ShardClient>> clients;
-    for (ShardBundle& bundle : *bundles) {
-      DirectoryServerOptions options;
-      options.workers = 2;
-      fleet.servers.push_back(std::make_unique<DirectoryServer>(
-          std::move(bundle.directory), std::move(bundle.corpus), options));
-      fleet.services.push_back(std::make_unique<DirectoryShardService>(
-          fleet.servers.back().get(), bundle.global_sections,
-          static_cast<uint32_t>(bundle.shard_id),
-          static_cast<uint32_t>(bundle.num_shards)));
-      auto [service_end, client_end] = ipc::CreateInProcessPipePair();
-      fleet.hosts.push_back(std::make_unique<ShardServiceHost>(
-          std::move(service_end), fleet.services.back().get(), 2));
-      clients.push_back(
-          std::make_unique<ipc::ShardClient>(std::move(client_end)));
-    }
-    fleet.router =
-        std::make_unique<ShardRouter>(std::move(clients), router_options);
-    return fleet;
-  }
-
-  ~Fleet() {
-    if (router) router->Close();
-    for (auto& host : hosts) host->Shutdown();
-    for (auto& server : servers) server->Shutdown();
-  }
-};
-
 TEST(ShardRouterTest, MergedAnswersBitIdenticalToUnshardedDirectory) {
-  Corpus corpus = GrowCorpus(21, 48);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(21, 48));
   DatabaseDirectory global = BuildDirectory(corpus);
-  for (size_t num_shards : {1u, 3u}) {
-    Fleet fleet = Fleet::Make(global, corpus, num_shards);
-    for (const DatasetEntry& entry : corpus.entries()) {
-      RouterResponse response = fleet.router->Classify(entry.doc);
-      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-      EXPECT_FALSE(response.partial);
-      ASSERT_EQ(response.shards.size(), num_shards);
-      for (const serve::ShardEcho& echo : response.shards) {
-        EXPECT_TRUE(echo.status.ok());
-        EXPECT_GE(echo.snapshot_version, 1u);
+  for (size_t num_shards : {1u, 2u, 3u, 4u, 8u}) {
+    for (size_t workers : {1u, 8u}) {
+      SCOPED_TRACE(std::to_string(num_shards) + " shards x " +
+                   std::to_string(workers) + " workers");
+      Fleet fleet = Fleet::Make(global, corpus, num_shards, {}, workers);
+      for (const DatasetEntry& entry : corpus.entries()) {
+        RouterResponse response = fleet.router->Classify(entry.doc);
+        ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+        EXPECT_FALSE(response.partial);
+        ASSERT_EQ(response.shards.size(), num_shards);
+        for (const serve::ShardEcho& echo : response.shards) {
+          EXPECT_TRUE(echo.status.ok());
+          EXPECT_GE(echo.snapshot_version, 1u);
+        }
+        DatabaseDirectory::Classification want =
+            global.ClassifyDocument(entry.doc);
+        EXPECT_EQ(response.classification.entry, want.entry)
+            << entry.doc.url;
+        EXPECT_EQ(response.classification.similarity, want.similarity)
+            << entry.doc.url;  // exact doubles
       }
-      DatabaseDirectory::Classification want =
-          global.ClassifyDocument(entry.doc);
-      EXPECT_EQ(response.classification.entry, want.entry)
-          << entry.doc.url;
-      EXPECT_EQ(response.classification.similarity, want.similarity)
-          << entry.doc.url;  // exact doubles
-    }
-    for (const char* query : {"job career", "hotel room", "music cd"}) {
-      for (size_t top_k : {size_t{3}, global.size()}) {
-        RouterResponse response = fleet.router->Search(query, top_k);
-        ASSERT_TRUE(response.status.ok());
-        auto want = global.Search(query, top_k);
-        ASSERT_EQ(response.hits.size(), want.size())
-            << query << " k=" << top_k;
-        for (size_t i = 0; i < want.size(); ++i) {
-          EXPECT_EQ(response.hits[i].entry, want[i].entry) << query;
-          EXPECT_EQ(response.hits[i].similarity, want[i].similarity)
-              << query;
+      for (const char* query : {"job career", "hotel room", "music cd"}) {
+        for (size_t top_k : {size_t{3}, global.size()}) {
+          RouterResponse response = fleet.router->Search(query, top_k);
+          ASSERT_TRUE(response.status.ok());
+          auto want = global.Search(query, top_k);
+          ASSERT_EQ(response.hits.size(), want.size())
+              << query << " k=" << top_k;
+          for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(response.hits[i].entry, want[i].entry) << query;
+            EXPECT_EQ(response.hits[i].similarity, want[i].similarity)
+                << query;
+          }
         }
       }
     }
@@ -143,7 +92,7 @@ TEST(ShardRouterTest, MergedAnswersBitIdenticalToUnshardedDirectory) {
 }
 
 TEST(ShardRouterTest, ClassifyFastPathBitIdenticalToScatter) {
-  Corpus corpus = GrowCorpus(21, 48);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(21, 48));
   DatabaseDirectory global = BuildDirectory(corpus);
   serve::RouterOptions fast_options;
   fast_options.classify_fast_path = true;
@@ -180,7 +129,7 @@ TEST(ShardRouterTest, ClassifyFastPathBitIdenticalToScatter) {
 }
 
 TEST(ShardRouterTest, FastPathFallsBackToScatterForUrllessDocs) {
-  Corpus corpus = GrowCorpus(21, 48);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(21, 48));
   DatabaseDirectory global = BuildDirectory(corpus);
   serve::RouterOptions fast_options;
   fast_options.classify_fast_path = true;
@@ -203,11 +152,70 @@ TEST(ShardRouterTest, FastPathFallsBackToScatterForUrllessDocs) {
   EXPECT_EQ(search.shards.size(), 3u);
 }
 
+/// Serial scatter-gather over the live shards' replicas, merged by the
+/// router's rules: the oracle for "no silent result loss" when one shard
+/// is down. Entries are global section ids.
+struct LiveShardsOracle {
+  std::vector<ShardBundle> bundles;
+  size_t dead = 0;
+
+  DatabaseDirectory::Classification Classify(
+      const forms::FormPageDocument& doc) const {
+    DatabaseDirectory::Classification best;
+    for (size_t s = 0; s < bundles.size(); ++s) {
+      if (s == dead) continue;
+      DatabaseDirectory::Classification local =
+          bundles[s].directory.ClassifyDocument(doc);
+      if (local.entry < 0) continue;
+      const int global_entry = static_cast<int>(
+          bundles[s].global_sections[static_cast<size_t>(local.entry)]);
+      if (best.entry < 0 || local.similarity > best.similarity ||
+          (local.similarity == best.similarity &&
+           global_entry < best.entry)) {
+        best.entry = global_entry;
+        best.similarity = local.similarity;
+      }
+    }
+    return best;
+  }
+
+  std::vector<DatabaseDirectory::SearchHit> Search(const char* query,
+                                                   size_t top_k) const {
+    std::vector<DatabaseDirectory::SearchHit> merged;
+    std::set<int> seen;
+    for (size_t s = 0; s < bundles.size(); ++s) {
+      if (s == dead) continue;
+      for (const DatabaseDirectory::SearchHit& hit :
+           bundles[s].directory.Search(query, top_k)) {
+        const int global_entry = static_cast<int>(
+            bundles[s].global_sections[static_cast<size_t>(hit.entry)]);
+        if (seen.insert(global_entry).second) {
+          merged.push_back({global_entry, hit.similarity});
+        }
+      }
+    }
+    std::sort(merged.begin(), merged.end(),
+              [](const DatabaseDirectory::SearchHit& a,
+                 const DatabaseDirectory::SearchHit& b) {
+                if (a.similarity != b.similarity) {
+                  return a.similarity > b.similarity;
+                }
+                return a.entry < b.entry;
+              });
+    if (merged.size() > top_k) merged.resize(top_k);
+    return merged;
+  }
+};
+
 TEST(ShardRouterTest, DeadShardYieldsExplicitPartialResult) {
-  Corpus corpus = GrowCorpus(21, 48);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(21, 48));
   DatabaseDirectory global = BuildDirectory(corpus);
   Fleet fleet = Fleet::Make(global, corpus, 3);
   fleet.hosts[1]->Shutdown();  // kill the middle shard's transport
+  Result<std::vector<ShardBundle>> replicas =
+      PartitionDirectory(global, corpus, 3);
+  ASSERT_TRUE(replicas.ok()) << replicas.status().ToString();
+  const LiveShardsOracle live{std::move(*replicas), /*dead=*/1};
 
   RouterResponse response =
       fleet.router->Classify(corpus.entries().front().doc);
@@ -223,10 +231,104 @@ TEST(ShardRouterTest, DeadShardYieldsExplicitPartialResult) {
   RouterResponse search = fleet.router->Search("job career", 5);
   ASSERT_TRUE(search.status.ok());
   EXPECT_TRUE(search.partial);
+
+  // The partial answers are exactly the merge of the live shards' answers:
+  // nothing the live shards know is lost.
+  for (const DatasetEntry& entry : corpus.entries()) {
+    RouterResponse routed = fleet.router->Classify(entry.doc);
+    ASSERT_TRUE(routed.status.ok());
+    EXPECT_TRUE(routed.partial);
+    DatabaseDirectory::Classification want = live.Classify(entry.doc);
+    EXPECT_EQ(routed.classification.entry, want.entry) << entry.doc.url;
+    EXPECT_EQ(routed.classification.similarity, want.similarity)
+        << entry.doc.url;
+  }
+  for (const char* query : {"job career", "hotel room", "music cd"}) {
+    RouterResponse routed = fleet.router->Search(query, global.size());
+    ASSERT_TRUE(routed.status.ok());
+    EXPECT_TRUE(routed.partial);
+    const auto want = live.Search(query, global.size());
+    ASSERT_EQ(routed.hits.size(), want.size()) << query;
+    for (size_t h = 0; h < want.size(); ++h) {
+      EXPECT_EQ(routed.hits[h].entry, want[h].entry) << query;
+      EXPECT_EQ(routed.hits[h].similarity, want[h].similarity) << query;
+    }
+  }
+}
+
+TEST(ShardRouterTest, PerShardRefreshStormHasNoTornEpoch) {
+  // Every shard of a site-clustered fleet refreshes twice while clients
+  // route through it. Each response must echo every shard, no shard may
+  // ever echo one snapshot version with two corpus epochs, and every
+  // scheduled refresh must publish.
+  constexpr size_t kShards = 4;
+  constexpr size_t kRounds = 2;
+  Corpus corpus = CorpusOf(MakeGrowthWeb(21, 48));
+  DatabaseDirectory global = BuildSiteDirectory(corpus);
+  Fleet fleet = Fleet::Make(global, corpus, kShards);
+  std::vector<forms::FormPageDocument> docs;
+  for (const DatasetEntry& e : corpus.entries()) docs.push_back(e.doc);
+  const char* kQueries[] = {"job career", "hotel room", "music cd"};
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> responses{0};
+  std::atomic<uint64_t> torn{0};
+  std::atomic<uint64_t> echo_failures{0};
+  std::mutex seen_mutex;
+  std::vector<std::map<uint64_t, uint64_t>> seen(kShards);  // version->epoch
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const size_t pick = (c * 7919 + i * 13) % (docs.size() + 1);
+        RouterResponse response =
+            pick < docs.size() ? fleet.router->Classify(docs[pick])
+                               : fleet.router->Search(kQueries[i % 3], 5);
+        if (!response.status.ok()) continue;
+        responses.fetch_add(1, std::memory_order_relaxed);
+        if (response.partial || response.shards.size() != kShards) {
+          echo_failures.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(seen_mutex);
+        for (size_t s = 0; s < kShards; ++s) {
+          const serve::ShardEcho& echo = response.shards[s];
+          if (!echo.status.ok()) continue;
+          auto [it, fresh] =
+              seen[s].emplace(echo.snapshot_version, echo.corpus_epoch);
+          if (!fresh && it->second != echo.corpus_epoch) {
+            torn.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (size_t round = 0; round < kRounds; ++round) {
+    for (size_t s = 0; s < kShards; ++s) {
+      Corpus batch = CorpusOf(
+          MakeGrowthWeb(300 + static_cast<uint32_t>(round * kShards + s), 12));
+      EXPECT_TRUE(fleet.servers[s]->ScheduleRefresh(batch.TakeEntries()).ok());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (auto& server : fleet.servers) server->WaitForRefreshes();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stop.store(true);
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(echo_failures.load(), 0u);
+  EXPECT_GT(responses.load(), 0u);
+  std::vector<Result<ipc::EpochResponse>> epochs = fleet.router->Epochs();
+  for (size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(fleet.servers[s]->Stats().refreshes, kRounds) << "shard " << s;
+    ASSERT_TRUE(epochs[s].ok());
+    EXPECT_EQ((*epochs[s]).snapshot_version, 1 + kRounds) << "shard " << s;
+  }
 }
 
 TEST(ShardRouterTest, AllShardsDeadFailsWithFirstShardError) {
-  Corpus corpus = GrowCorpus(21, 24);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(21, 24));
   DatabaseDirectory global = BuildDirectory(corpus, 4);
   Fleet fleet = Fleet::Make(global, corpus, 2);
   for (auto& host : fleet.hosts) host->Shutdown();
@@ -244,7 +346,7 @@ TEST(ShardRouterTest, NoShardsIsUnavailable) {
 }
 
 TEST(ShardRouterTest, EpochsAndStatsAggregateAcrossShards) {
-  Corpus corpus = GrowCorpus(21, 48);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(21, 48));
   DatabaseDirectory global = BuildDirectory(corpus);
   Fleet fleet = Fleet::Make(global, corpus, 3);
 
@@ -282,7 +384,7 @@ TEST(ShardRouterTest, RouterStatsEqualMergeOfLocalShardStats) {
   // The Stats RPC carries the one ServerStats schema, so the router's
   // fleet view is exactly the Merge of what each shard reports locally —
   // every field, storage gauges included.
-  Corpus corpus = GrowCorpus(21, 48);
+  Corpus corpus = CorpusOf(MakeGrowthWeb(21, 48));
   DatabaseDirectory global = BuildDirectory(corpus);
   Fleet fleet = Fleet::Make(global, corpus, 3);
   for (size_t i = 0; i < 12 && i < corpus.entries().size(); ++i) {

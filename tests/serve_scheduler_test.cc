@@ -2,15 +2,21 @@
 // FIFO arrival order, strict priority bands, earliest-deadline-first
 // within a band, and admission-sequence tie-breaking. The scheduler is
 // deliberately lock-free of the server so these rules are testable
-// without threads.
+// without threads; one live-server test checks the same order end to end.
 
 #include "serve/scheduler.h"
 
+#include <algorithm>
 #include <chrono>
+#include <future>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "serve/server.h"
+#include "fixtures.h"
 
 namespace cafc::serve {
 namespace {
@@ -124,6 +130,90 @@ TEST(QueryPriorityTest, NamesRoundTripAndUnknownIsRejected) {
   EXPECT_FALSE(ParseQueryPriority("", &untouched));
   EXPECT_FALSE(ParseQueryPriority("HIGH", &untouched));
   EXPECT_EQ(untouched, QueryPriority::kBatch);  // out untouched on failure
+}
+
+TEST(PriorityServingTest, HighBandDrainsFirstWhileTheWorkerIsBusy) {
+  // One worker, held busy by a padded batch-band blocker. While it is
+  // busy, batch-band requests arrive first and interactive ones after.
+  // Under kPriorityDeadline every interactive request is dequeued before
+  // any batch request; under kFifo the same schedule is served in arrival
+  // order. Either way every answer equals the serial directory's, and the
+  // admission ledger closes. The order is read off each request's dequeue
+  // time, which one worker spaces at least one pad apart.
+  constexpr double kPadMs = 40.0;
+  constexpr size_t kPerBand = 3;
+  const char* kQueries[] = {"job career", "hotel room", "music cd",
+                            "book author", "car rental", "flight airline",
+                            "movie actor"};
+  Corpus oracle_corpus = test::GrowCorpus(21, 24);
+  const DatabaseDirectory oracle = test::BuildDirectory(oracle_corpus, 4);
+  using Clock = std::chrono::steady_clock;
+
+  for (SchedulingPolicy policy :
+       {SchedulingPolicy::kFifo, SchedulingPolicy::kPriorityDeadline}) {
+    SCOPED_TRACE(policy == SchedulingPolicy::kFifo ? "fifo" : "priority");
+    Corpus corpus = test::GrowCorpus(21, 24);
+    DatabaseDirectory directory = test::BuildDirectory(corpus, 4);
+    DirectoryServerOptions options;
+    options.workers = 1;
+    options.service_pad_ms = kPadMs;
+    options.scheduling = policy;
+    DirectoryServer server(std::move(directory), std::move(corpus), options);
+
+    // Arrival order: the blocker, kPerBand batch, kPerBand interactive.
+    const Clock::time_point origin = Clock::now();
+    std::vector<QueryPriority> priorities;
+    std::vector<double> submitted_ms;
+    std::vector<std::future<QueryResponse>> futures;
+    for (size_t i = 0; i < 1 + 2 * kPerBand; ++i) {
+      QueryRequest request;
+      request.kind = QueryKind::kSearch;
+      request.query = kQueries[i];
+      request.priority = i <= kPerBand ? QueryPriority::kBatch
+                                       : QueryPriority::kInteractive;
+      priorities.push_back(request.priority);
+      submitted_ms.push_back(
+          std::chrono::duration<double, std::milli>(Clock::now() - origin)
+              .count());
+      futures.push_back(server.Submit(std::move(request)));
+    }
+
+    double last_interactive = 0.0;
+    double first_interactive = 1e300;
+    double last_batch = 0.0;
+    double first_batch = 1e300;
+    for (size_t i = 0; i < futures.size(); ++i) {
+      QueryResponse response = futures[i].get();
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      const auto want = oracle.Search(kQueries[i], 5);
+      ASSERT_EQ(response.hits.size(), want.size()) << kQueries[i];
+      for (size_t h = 0; h < want.size(); ++h) {
+        EXPECT_EQ(response.hits[h].entry, want[h].entry);
+        EXPECT_EQ(response.hits[h].similarity, want[h].similarity);
+      }
+      if (i == 0) continue;  // the blocker
+      const double dequeued = submitted_ms[i] + response.queue_ms;
+      if (priorities[i] == QueryPriority::kInteractive) {
+        first_interactive = std::min(first_interactive, dequeued);
+        last_interactive = std::max(last_interactive, dequeued);
+      } else {
+        first_batch = std::min(first_batch, dequeued);
+        last_batch = std::max(last_batch, dequeued);
+      }
+    }
+    if (policy == SchedulingPolicy::kPriorityDeadline) {
+      EXPECT_LT(last_interactive, first_batch);
+    } else {
+      EXPECT_LT(last_batch, first_interactive);
+    }
+
+    const ServerStats stats = server.Stats();
+    EXPECT_EQ(stats.completed, futures.size());
+    EXPECT_EQ(stats.submitted, stats.accepted + stats.rejected_queue_full +
+                                   stats.rejected_stopped + stats.cache_hits +
+                                   stats.stale_served);
+    server.Shutdown();
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests of the DirectoryServer: serial-equivalent answers, admission
-// control (queue-full backpressure), deadline expiry in the queue,
-// idempotent draining shutdown, and refresh hot-swap publication.
+// control (queue-full backpressure), deadline expiry in the queue, padded
+// service overlapping across workers, idempotent draining shutdown, and
+// refresh hot-swap publication.
 
 #include "serve/server.h"
 
@@ -17,9 +18,13 @@
 #include "core/ingest.h"
 #include "util/rng.h"
 #include "web/synthesizer.h"
+#include "fixtures.h"
 
 namespace cafc {
 namespace {
+
+using test::BuildDirectory;
+using test::GrowCorpus;
 
 using serve::DirectoryServer;
 using serve::DirectoryServerOptions;
@@ -27,41 +32,6 @@ using serve::QueryKind;
 using serve::QueryRequest;
 using serve::QueryResponse;
 using serve::ServerStats;
-
-web::SynthesizerConfig GrowConfig(uint32_t seed, size_t form_pages) {
-  web::SynthesizerConfig config;
-  config.seed = seed;
-  config.form_pages_total = form_pages;
-  config.single_attribute_forms = form_pages / 8;
-  config.homogeneous_hubs_per_domain = 20;
-  config.mixed_hubs = 30;
-  config.directory_hubs = 3;
-  config.large_air_hotel_hubs = 3;
-  config.non_searchable_form_pages = 2;
-  config.noise_pages = 2;
-  config.outlier_pages = 0;
-  return config;
-}
-
-Corpus GrowCorpus(uint32_t seed, size_t form_pages) {
-  web::SyntheticWeb web =
-      web::Synthesizer(GrowConfig(seed, form_pages)).Generate();
-  Result<CorpusBuild> build = BuildCorpus(web);
-  EXPECT_TRUE(build.ok()) << build.status().ToString();
-  return std::move(build->corpus);
-}
-
-/// Cold-seeded CAFC-C directory over the corpus's current epoch.
-/// Deterministic (fixed seed), so two calls over equal corpora produce
-/// bit-identical directories — the replica trick the tests lean on.
-DatabaseDirectory BuildDirectory(Corpus& corpus, int k = 6) {
-  Rng rng(1234);
-  cluster::Clustering clustering =
-      CafcC(corpus.Weighted(), k, CafcOptions{}, &rng);
-  return DatabaseDirectory::Build(
-      corpus.Weighted(), clustering,
-      DatabaseDirectory::AutoLabels(corpus.Weighted(), clustering));
-}
 
 QueryRequest ClassifyRequest(const forms::FormPageDocument& doc) {
   QueryRequest request;
@@ -191,6 +161,42 @@ TEST(DirectoryServerTest, DeadlineBurnedInQueueIsDeadlineExceeded) {
   ServerStats stats = server.Stats();
   EXPECT_EQ(stats.deadline_exceeded, 1u);
   EXPECT_EQ(stats.completed, 1u);
+}
+
+TEST(DirectoryServerTest, PaddedRequestsOverlapAcrossWorkers) {
+  // The service pad stands in for per-request downstream I/O inside the
+  // worker, so padded requests must run side by side on separate workers
+  // and in line on one. Checked on each request's queue wait, not on a
+  // throughput ratio. With one worker per request, no request waits for
+  // a pad to end: all of them are in service at once. With one worker,
+  // the i-th request waits behind i whole pads.
+  constexpr double kPadMs = 150.0;
+  constexpr size_t kRequests = 4;
+  for (size_t workers : {kRequests, size_t{1}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    Corpus corpus = GrowCorpus(21, 24);
+    DatabaseDirectory directory = BuildDirectory(corpus, 4);
+    DirectoryServerOptions options;
+    options.workers = workers;
+    options.service_pad_ms = kPadMs;
+    DirectoryServer server(std::move(directory), std::move(corpus), options);
+
+    std::vector<std::future<QueryResponse>> futures;
+    for (size_t i = 0; i < kRequests; ++i) {
+      futures.push_back(server.Submit(SearchRequest("job")));
+    }
+    for (size_t i = 0; i < kRequests; ++i) {
+      QueryResponse response = futures[i].get();
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_GE(response.service_ms, kPadMs);
+      if (workers == kRequests) {
+        EXPECT_LT(response.queue_ms, kPadMs / 2) << "request " << i;
+      } else {
+        EXPECT_GE(response.queue_ms, (static_cast<double>(i) - 0.5) * kPadMs)
+            << "request " << i;
+      }
+    }
+  }
 }
 
 TEST(DirectoryServerTest, ShutdownDrainsThenRejectsAndIsIdempotent) {

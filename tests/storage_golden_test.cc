@@ -4,8 +4,8 @@
 // change breaks it, bump kFormatVersion3 and regenerate the golden file
 // deliberately — never "fix" the test by rewriting the file in place.
 //
-// Golden provenance:
-//   cafc cluster --seed 3 --pages 48 --min-cardinality 4 \
+// Golden provenance (one command line):
+//   cafc cluster --seed 3 --pages 48 --min-cardinality 4
 //     --save-v3 tests/testdata/golden_v3.cafc3
 
 #include <memory>

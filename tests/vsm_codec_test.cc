@@ -350,7 +350,9 @@ TEST(DictionaryCodec, SingleTermAndEmptyDictionaries) {
     TermDictionary decoded;
     ASSERT_TRUE(DecodeDictionary(&reader, &decoded).ok());
     EXPECT_EQ(decoded.size(), terms);
-    if (terms == 1) EXPECT_EQ(decoded.term(0), "only");
+    if (terms == 1) {
+      EXPECT_EQ(decoded.term(0), "only");
+    }
   }
 }
 
